@@ -459,7 +459,7 @@ fn main() -> ExitCode {
             params.requests = 24;
             if opts.repeat.is_none() {
                 // Keep a repeat ≥ 0.9 row even in quick mode: the
-                // `coalesced_speedup` gate only binds there.
+                // `warm_speedup` gate only binds there.
                 params.repeats = vec![0.0, 0.8, 0.95];
             }
         }
@@ -514,14 +514,14 @@ fn main() -> ExitCode {
         let out = loadgen::run(&workload, &params);
         println!("{}", out.headline.render());
         println!("{}", out.curve_table.render());
-        println!("{}", out.coalesced_curve_table.render());
+        println!("{}", out.warmed_curve_table.render());
         match out.curve.knee_rps {
             Some(knee) => println!("knee: {knee:.1} rps (SLO p99 <= {} ms)", params.slo.p99_ms),
             None => println!("knee: none — the starting rate already violated the SLO"),
         }
-        match out.coalesced_curve.knee_rps {
-            Some(knee) => println!("coalesced knee: {knee:.1} rps"),
-            None => println!("coalesced knee: none"),
+        match out.warmed_curve.knee_rps {
+            Some(knee) => println!("warmed knee: {knee:.1} rps"),
+            None => println!("warmed knee: none"),
         }
         ceps_obs::info!("loadgen took {:.2?}", t.elapsed());
         // The headline table comes first on purpose: the regression gate
@@ -535,12 +535,11 @@ fn main() -> ExitCode {
             "mix": params.mix.name(),
             "pool_size": params.pool_size,
             "repeat": params.repeat,
-            "coalesce_us": params.coalesce_us,
             "warm_frac": params.warm_frac,
             "slo_p99_ms": params.slo.p99_ms,
             "slo_max_error_rate": params.slo.max_error_rate,
             "knee_rps": out.curve.knee_rps,
-            "knee_rps_coalesced": out.coalesced_curve.knee_rps,
+            "knee_rps_warmed": out.warmed_curve.knee_rps,
             "nodes": workload.node_count(),
             "edges": workload.edge_count(),
             "run": run_meta(&opts),
@@ -548,7 +547,7 @@ fn main() -> ExitCode {
         let loadgen_tables = [
             out.headline.clone(),
             out.curve_table.clone(),
-            out.coalesced_curve_table.clone(),
+            out.warmed_curve_table.clone(),
         ];
         match write_json(&opts.out, "BENCH_loadgen", &meta, &loadgen_tables) {
             Ok(p) => println!("wrote {}", p.display()),
@@ -559,7 +558,7 @@ fn main() -> ExitCode {
         }
         tables.push(out.headline);
         tables.push(out.curve_table);
-        tables.push(out.coalesced_curve_table);
+        tables.push(out.warmed_curve_table);
     }
 
     if opts.figures.iter().any(|x| x == "scaling") {

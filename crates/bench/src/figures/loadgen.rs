@@ -3,22 +3,21 @@
 //! Boots a [`ceps_net::CepsServer`] over the in-process transport on the
 //! benchmark workload and runs the `ceps-load` capacity search against
 //! it **twice** — once against a plain cached service, once against the
-//! same service with request coalescing enabled and a degree-weighted
-//! warm pass at boot — doubling the offered rate until the SLO (p99
-//! bound + max shed/error rate) breaks, then bisecting the bracket.
+//! same service after a degree-weighted warm pass at boot — doubling the
+//! offered rate until the SLO (p99 bound + max shed/error rate) breaks,
+//! then bisecting the bracket.
 //! Three tables come out:
 //!
 //! * a one-row **headline** (first in the artifact — the regression gate
 //!   resolves its columns from the first table that has them): clean-run
 //!   quality at the base probe rate (`ok_rate`, `achieved_ratio`, both
 //!   gated) plus the detected knees of both arms (`knee_rps`,
-//!   `knee_p99_ms`, `knee_rps_coalesced`, `knee_p99_coalesced_ms`,
-//!   ungated — absolute capacity is machine-dependent — the committed
-//!   baseline is reseeded only when `knee_rps_coalesced >= knee_rps`);
+//!   `knee_p99_ms`, `knee_rps_warmed`, `knee_p99_warmed_ms`, ungated —
+//!   absolute capacity is machine-dependent);
 //! * the full plain-arm **throughput-latency curve**, one row per probe;
-//! * the coalesced-arm curve, same schema.
+//! * the warmed-arm curve, same schema.
 
-use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder, CoalesceConfig};
+use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder};
 use ceps_load::{
     capacity_search, ArrivalKind, CapacityCurve, LoadConfig, MixKind, SearchConfig, SloSpec,
     DEFAULT_HOT_POOL,
@@ -49,12 +48,8 @@ pub struct LoadgenParams {
     pub mix: MixKind,
     /// Hot-pool width for the hub-skewed mix.
     pub pool_size: usize,
-    /// Coalescing window (µs) for the coalesced arm.
-    pub coalesce_us: u64,
-    /// Max rows per coalesced solve.
-    pub coalesce_batch: usize,
     /// Fraction of the cache byte budget pre-filled by degree-weighted
-    /// warming in the coalesced arm.
+    /// warming in the warmed arm.
     pub warm_frac: f64,
     /// Per-probe run length (seconds), warmup included.
     pub duration_s: f64,
@@ -84,8 +79,6 @@ impl Default for LoadgenParams {
             repeat: 0.9,
             mix: MixKind::Hubs,
             pool_size: DEFAULT_HOT_POOL,
-            coalesce_us: 200,
-            coalesce_batch: 32,
             warm_frac: 0.05,
             duration_s: 3.0,
             warmup_s: 0.5,
@@ -108,38 +101,33 @@ pub struct LoadgenOutput {
     pub headline: Table,
     /// Plain-arm curve table.
     pub curve_table: Table,
-    /// Coalesced-arm curve table.
-    pub coalesced_curve_table: Table,
+    /// Warmed-arm curve table.
+    pub warmed_curve_table: Table,
     /// Plain-arm raw curve.
     pub curve: CapacityCurve,
-    /// Coalesced-arm raw curve.
-    pub coalesced_curve: CapacityCurve,
+    /// Warmed-arm raw curve.
+    pub warmed_curve: CapacityCurve,
 }
 
-/// Boots one in-process wire server (coalesced+warmed or plain) and runs
-/// the capacity search against it.
+/// Boots one in-process wire server (warmed or plain) and runs the
+/// capacity search against it.
 fn search_arm(
     workload: &Workload,
     params: &LoadgenParams,
     load_cfg: &LoadConfig,
-    coalesced: bool,
+    warmed: bool,
 ) -> CapacityCurve {
     let cfg = CepsConfig::default()
         .budget(params.budget)
         .alpha(params.alpha)
         .threads(1);
     let engine = CepsEngine::new(&workload.data.graph, cfg).unwrap();
-    let mut builder = CepsServiceBuilder::new().cache_bytes(params.cache_bytes);
-    if coalesced {
-        builder = builder.coalesce(CoalesceConfig {
-            window_us: params.coalesce_us,
-            max_batch: params.coalesce_batch,
-        });
-    }
-    let service = builder.build(engine);
-    if coalesced {
-        // Boot-time warming is part of the coalesced arm's startup, not
-        // of any probe's measurement window.
+    let service = CepsServiceBuilder::new()
+        .cache_bytes(params.cache_bytes)
+        .build(engine);
+    if warmed {
+        // Boot-time warming is part of the warmed arm's startup, not of
+        // any probe's measurement window.
         let warm_budget = (params.cache_bytes as f64 * params.warm_frac) as usize;
         service.warm(warm_budget).unwrap();
     }
@@ -161,7 +149,7 @@ fn search_arm(
         let server = &server;
         let serve = s.spawn(move || server.serve(&mut transport).unwrap());
         let connect = || Ok(CepsClient::from_conn(Box::new(connector.connect()?)));
-        let arm = if coalesced { "coalesced" } else { "plain" };
+        let arm = if warmed { "warmed" } else { "plain" };
         let curve = capacity_search(load_cfg, &params.slo, &search, &connect, |p| {
             ceps_obs::info!(
                 "loadgen probe ({arm}): {:.1} rps -> p99 {:.2} ms ({})",
@@ -204,7 +192,7 @@ fn curve_table(title: &str, curve: &CapacityCurve) -> Table {
 }
 
 /// Runs the capacity search against both arms (plain cached service and
-/// coalesced + warmed service), each on a freshly booted in-process wire
+/// warmed cached service), each on a freshly booted in-process wire
 /// server fed the identical seeded schedule, and renders the headline +
 /// curve tables.
 ///
@@ -231,7 +219,7 @@ pub fn run(workload: &Workload, params: &LoadgenParams) -> LoadgenOutput {
     };
 
     let curve = search_arm(workload, params, &load_cfg, false);
-    let coalesced_curve = search_arm(workload, params, &load_cfg, true);
+    let warmed_curve = search_arm(workload, params, &load_cfg, true);
 
     // The base probe is always the first point: the lowest rate the
     // search tried, where a healthy server completes essentially every
@@ -253,7 +241,7 @@ pub fn run(workload: &Workload, params: &LoadgenParams) -> LoadgenOutput {
         None => (0.0, 0.0),
     };
     let (knee_rps, knee_p99) = knee_of(&curve);
-    let (knee_rps_co, knee_p99_co) = knee_of(&coalesced_curve);
+    let (knee_rps_warmed, knee_p99_warmed) = knee_of(&warmed_curve);
     let mut headline = Table::new(
         "BENCH loadgen: SLO capacity (open-loop, coordinated-omission-free)",
         vec![
@@ -262,8 +250,8 @@ pub fn run(workload: &Workload, params: &LoadgenParams) -> LoadgenOutput {
             "achieved_ratio".into(),
             "knee_rps".into(),
             "knee_p99_ms".into(),
-            "knee_rps_coalesced".into(),
-            "knee_p99_coalesced_ms".into(),
+            "knee_rps_warmed".into(),
+            "knee_p99_warmed_ms".into(),
         ],
     );
     headline.push_row(vec![
@@ -272,8 +260,8 @@ pub fn run(workload: &Workload, params: &LoadgenParams) -> LoadgenOutput {
         base_ratio,
         knee_rps,
         knee_p99,
-        knee_rps_co,
-        knee_p99_co,
+        knee_rps_warmed,
+        knee_p99_warmed,
     ]);
 
     LoadgenOutput {
@@ -282,12 +270,12 @@ pub fn run(workload: &Workload, params: &LoadgenParams) -> LoadgenOutput {
             "BENCH loadgen curve: offered rate vs intended-time latency",
             &curve,
         ),
-        coalesced_curve_table: curve_table(
-            "BENCH loadgen curve (coalesced + warmed arm): offered rate vs intended-time latency",
-            &coalesced_curve,
+        warmed_curve_table: curve_table(
+            "BENCH loadgen curve (warmed arm): offered rate vs intended-time latency",
+            &warmed_curve,
         ),
         curve,
-        coalesced_curve,
+        warmed_curve,
     }
 }
 
@@ -320,7 +308,7 @@ mod tests {
 
         assert_eq!(headline.columns[0], "base_rps");
         assert_eq!(headline.columns[1], "ok_rate");
-        assert_eq!(headline.columns[5], "knee_rps_coalesced");
+        assert_eq!(headline.columns[5], "knee_rps_warmed");
         assert_eq!(headline.rows.len(), 1);
         let ok_rate = headline.rows[0][1];
         assert!(ok_rate > 0.9, "base probe ok_rate {ok_rate} should be ~1");
@@ -329,14 +317,14 @@ mod tests {
         // Hitting max_rps with the SLO still met counts as a knee too, so
         // one must exist under this generous SLO — for both arms.
         assert!(curve.knee_rps.is_some());
-        assert!(out.coalesced_curve.knee_rps.is_some());
+        assert!(out.warmed_curve.knee_rps.is_some());
         assert_eq!(
-            out.coalesced_curve_table.rows.len(),
-            out.coalesced_curve.points.len()
+            out.warmed_curve_table.rows.len(),
+            out.warmed_curve.points.len()
         );
         assert!(
             headline.rows[0][5] > 0.0,
-            "coalesced knee recorded in the headline"
+            "warmed knee recorded in the headline"
         );
 
         // Schema round-trip: the emitted BENCH_loadgen.json parses and
@@ -345,7 +333,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ceps_loadgen_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let meta = serde_json::json!({"seed": 7u64});
-        let tables = [headline, curve_table, out.coalesced_curve_table];
+        let tables = [headline, curve_table, out.warmed_curve_table];
         let path = crate::report::write_json(&dir, "BENCH_loadgen", &meta, &tables).unwrap();
         assert!(path.ends_with("BENCH_loadgen.json"));
         let gates: Vec<_> = crate::regression::default_gates()

@@ -9,23 +9,22 @@
 //!   [`ceps_core::CepsServiceBuilder`], every request solves all its RWR
 //!   rows cold;
 //! * **cached** — a fresh bytes-budgeted row cache per repeat-rate row;
-//! * **coalesced** — the same cache plus the micro-batching coalescer
-//!   ([`ceps_core::CoalesceConfig`]) and a degree-weighted
+//! * **warmed** — the same cache plus a degree-weighted
 //!   [`warm`](ceps_core::CepsService::warm) pass before the stream starts
 //!   (warming is a startup cost by design and is excluded from the timed
 //!   window, like the equivalence probe that warms the cached arm).
 //!
 //! One table row per repeat rate: wall-clock for all arms, the cached/cold
-//! and coalesced/cold throughput ratios, hit rate and cached-arm latency
+//! and warmed/cold throughput ratios, hit rate and cached-arm latency
 //! percentiles. The steady-state hit rate converges to the repeat rate
 //! (first touches of the 48 hubs are misses), so streams are long enough
 //! for warmup to amortize. The regression gate watches `speedup` plus the
-//! hard-floored `coalesced_speedup` at repeat ≥ 0.9: the warmed, coalesced
-//! service must never lose to cold per-request solves on hub-heavy
-//! traffic. The runner asserts all arms return identical subgraphs on a
-//! sampled request, so no speedup is ever bought with wrong answers.
+//! hard-floored `warm_speedup` at repeat ≥ 0.9: the warmed service must
+//! never lose to cold per-request solves on hub-heavy traffic. The runner
+//! asserts all arms return identical subgraphs on a sampled request, so
+//! no speedup is ever bought with wrong answers.
 
-use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder, CoalesceConfig};
+use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder};
 use ceps_graph::NodeId;
 use rand::{Rng, SeedableRng};
 
@@ -51,12 +50,8 @@ pub struct ServeParams {
     pub alpha: f64,
     /// Stream-sampling seed.
     pub seed: u64,
-    /// Coalescing window (µs) for the coalesced arm.
-    pub coalesce_us: u64,
-    /// Max rows per coalesced solve.
-    pub coalesce_batch: usize,
     /// Fraction of the cache byte budget pre-filled by degree-weighted
-    /// warming in the coalesced arm.
+    /// warming in the warmed arm.
     pub warm_frac: f64,
 }
 
@@ -71,8 +66,6 @@ impl Default for ServeParams {
             budget: 20,
             alpha: 0.5,
             seed: 42,
-            coalesce_us: 200,
-            coalesce_batch: 32,
             warm_frac: 0.05,
         }
     }
@@ -113,9 +106,9 @@ pub fn sample_stream(
 /// Runs the benchmark over `workload`'s graph.
 ///
 /// Returns two tables. The first has one row per repeat rate with the
-/// throughput comparison: no-cache, cached and coalesced+warmed
+/// throughput comparison: no-cache, cached and cached+warmed
 /// wall-clock (ms), the speedups `nocache_ms / cached_ms` and
-/// `nocache_ms / coalesced_ms`, cached-arm hit rate, and cached-arm
+/// `nocache_ms / warmed_ms`, cached-arm hit rate, and cached-arm
 /// latency percentiles (ms). The second breaks each arm's mean
 /// per-request latency into pipeline stages (scores / combine / extract,
 /// ms) — the cached-vs-cold columns show which stage the row cache
@@ -142,8 +135,8 @@ pub fn run(workload: &Workload, params: &ServeParams) -> (Table, Table) {
             "p50_ms".into(),
             "p95_ms".into(),
             "p99_ms".into(),
-            "coalesced_ms".into(),
-            "coalesced_speedup".into(),
+            "warmed_ms".into(),
+            "warm_speedup".into(),
         ],
     );
     let mut stages = Table::new(
@@ -169,73 +162,62 @@ pub fn run(workload: &Workload, params: &ServeParams) -> (Table, Table) {
         );
 
         let cold = CepsServiceBuilder::new().uncached().build(engine.clone());
-        let warm = CepsServiceBuilder::new()
+        let cached = CepsServiceBuilder::new()
             .cache_bytes(params.cache_bytes)
             .build(engine.clone());
-        let coalesced = CepsServiceBuilder::new()
+        let warmed = CepsServiceBuilder::new()
             .cache_bytes(params.cache_bytes)
-            .coalesce(CoalesceConfig {
-                window_us: params.coalesce_us,
-                max_batch: params.coalesce_batch,
-            })
             .build(engine.clone());
         // Startup warming (degree-weighted, budget-clamped) happens before
         // the timed window — like cache warmup via the equivalence probe.
         let warm_budget = (params.cache_bytes as f64 * params.warm_frac) as usize;
-        coalesced.warm(warm_budget).unwrap();
+        warmed.warm(warm_budget).unwrap();
 
-        // Equivalence before timing: same subgraph with and without cache
-        // (the cache is also warmed-and-checked by this, so time below
-        // reflects steady-state serving).
+        // Equivalence before timing: same scores and subgraph with and
+        // without cache (the cache is also warmed-and-checked by this, so
+        // time below reflects steady-state serving).
         let probe = &stream[0];
-        let a = cold.run(probe).unwrap();
-        let b = warm.run(probe).unwrap();
-        let c = coalesced.run(probe).unwrap();
-        assert_eq!(a.scores, b.scores, "cache must be bitwise-transparent");
-        assert_eq!(
-            a.scores, c.scores,
-            "coalesced+warmed path must be bitwise-transparent"
-        );
-        assert_eq!(
-            a.subgraph.nodes().collect::<Vec<_>>(),
-            b.subgraph.nodes().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.subgraph.nodes().collect::<Vec<_>>(),
-            c.subgraph.nodes().collect::<Vec<_>>()
-        );
+        let (a, _) = cold.run(probe).unwrap();
+        for arm in [&cached, &warmed] {
+            let (b, _) = arm.run(probe).unwrap();
+            assert_eq!(a.scores, b.scores, "cache must be bitwise-transparent");
+            assert_eq!(
+                a.subgraph.nodes().collect::<Vec<_>>(),
+                b.subgraph.nodes().collect::<Vec<_>>()
+            );
+        }
 
-        let cold_out = cold.serve_stream(&stream, params.workers).unwrap();
-        let warm_out = warm.serve_stream(&stream, params.workers).unwrap();
-        let co_out = coalesced.serve_stream(&stream, params.workers).unwrap();
+        let cold_out = cold.serve_stream(&stream, params.workers, None).unwrap();
+        let cached_out = cached.serve_stream(&stream, params.workers, None).unwrap();
+        let warmed_out = warmed.serve_stream(&stream, params.workers, None).unwrap();
         assert_eq!(cold_out.completed, stream.len());
-        assert_eq!(warm_out.completed, stream.len());
-        assert_eq!(co_out.completed, stream.len());
+        assert_eq!(cached_out.completed, stream.len());
+        assert_eq!(warmed_out.completed, stream.len());
 
         table.push_row(vec![
             repeat,
             cold_out.wall_ms,
-            warm_out.wall_ms,
-            cold_out.wall_ms / warm_out.wall_ms,
-            warm_out
+            cached_out.wall_ms,
+            cold_out.wall_ms / cached_out.wall_ms,
+            cached_out
                 .hit_rate()
                 .expect("cached arm always serves at least one request"),
-            warm_out.latency_percentile_ms(50.0),
-            warm_out.latency_percentile_ms(95.0),
-            warm_out.latency_percentile_ms(99.0),
-            co_out.wall_ms,
-            cold_out.wall_ms / co_out.wall_ms,
+            cached_out.latency_percentile_ms(50.0),
+            cached_out.latency_percentile_ms(95.0),
+            cached_out.latency_percentile_ms(99.0),
+            warmed_out.wall_ms,
+            cold_out.wall_ms / warmed_out.wall_ms,
         ]);
         let cold_stages = cold_out.mean_stage_ms();
-        let warm_stages = warm_out.mean_stage_ms();
+        let cached_stages = cached_out.mean_stage_ms();
         stages.push_row(vec![
             repeat,
             cold_stages.scores_ms,
             cold_stages.combine_ms,
             cold_stages.extract_ms,
-            warm_stages.scores_ms,
-            warm_stages.combine_ms,
-            warm_stages.extract_ms,
+            cached_stages.scores_ms,
+            cached_stages.combine_ms,
+            cached_stages.extract_ms,
         ]);
     }
     (table, stages)
@@ -279,18 +261,15 @@ mod tests {
         };
         let (t, stages) = run(&w, &params);
         assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.columns[8], "coalesced_ms");
-        assert_eq!(t.columns[9], "coalesced_speedup");
+        assert_eq!(t.columns[8], "warmed_ms");
+        assert_eq!(t.columns[9], "warm_speedup");
         for row in &t.rows {
             assert!(row[1] > 0.0 && row[2] > 0.0, "wall clocks positive");
             assert!(row[3].is_finite() && row[3] > 0.0, "speedup finite");
             assert!((0.0..=1.0).contains(&row[4]), "hit rate in [0,1]");
             assert!(row[5] <= row[7], "p50 <= p99");
-            assert!(row[8] > 0.0, "coalesced wall clock positive");
-            assert!(
-                row[9].is_finite() && row[9] > 0.0,
-                "coalesced speedup finite"
-            );
+            assert!(row[8] > 0.0, "warmed wall clock positive");
+            assert!(row[9].is_finite() && row[9] > 0.0, "warm speedup finite");
         }
         // The warmed high-repeat row must actually hit.
         assert!(t.rows[1][4] > 0.0);

@@ -107,10 +107,10 @@ pub struct GateSpec {
 /// the parallel path must never lose to the batched kernel there, on any
 /// machine — plus CI's own absolute `≥ 1.5` assertion on the large preset.
 ///
-/// The serving gate additionally pins `coalesced_speedup` — the warmed,
-/// coalescing service against cold per-request solves — at repeat rates
-/// ≥ 0.9 with a hard `1.0` floor: on hub-heavy traffic the coalesced
-/// path must never lose to solving every request cold, on any machine.
+/// The serving gate additionally pins `warm_speedup` — the warmed cached
+/// service against cold per-request solves — at repeat rates ≥ 0.9 with
+/// a hard `1.0` floor: on hub-heavy traffic the warmed path must never
+/// lose to solving every request cold, on any machine.
 ///
 /// The loadgen gate deliberately avoids the knee rate (absolute capacity
 /// is machine-dependent) and watches the base probe's quality ratios
@@ -133,7 +133,7 @@ pub fn default_gates() -> Vec<GateSpec> {
             metrics: vec![
                 MetricSpec::new("speedup", Tolerance::Rel(0.40)),
                 MetricSpec::new("hit_rate", Tolerance::Abs(0.10)),
-                MetricSpec::new("coalesced_speedup", Tolerance::Rel(0.40))
+                MetricSpec::new("warm_speedup", Tolerance::Rel(0.40))
                     .min_x(0.9)
                     .floor(1.0),
             ],
@@ -549,11 +549,11 @@ mod tests {
             .expect("par_speedup is gated");
         assert_eq!(par.min_x, Some(5.0), "only gated at Q >= 5");
         assert_eq!(par.floor, Some(1.0), "parallel must never lose to block");
-        let co = all
+        let warm = all
             .iter()
-            .find(|m| m.column == "coalesced_speedup")
-            .expect("coalesced_speedup is gated");
-        assert_eq!(co.min_x, Some(0.9), "only gated at repeat >= 0.9");
-        assert_eq!(co.floor, Some(1.0), "coalesced must never lose to cold");
+            .find(|m| m.column == "warm_speedup")
+            .expect("warm_speedup is gated");
+        assert_eq!(warm.min_x, Some(0.9), "only gated at repeat >= 0.9");
+        assert_eq!(warm.floor, Some(1.0), "warmed must never lose to cold");
     }
 }

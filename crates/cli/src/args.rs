@@ -89,10 +89,6 @@ pub enum Command {
         alpha: f64,
         /// Row-cache budget in MiB (0 disables the cache).
         cache_mb: usize,
-        /// Micro-batching coalescing window in microseconds (0 = off).
-        coalesce_us: u64,
-        /// Max RWR rows per coalesced solve.
-        coalesce_batch: usize,
         /// Fraction of the cache byte budget pre-filled at startup by
         /// degree-weighted warming (0 = no warming).
         warm_frac: f64,
@@ -241,8 +237,8 @@ USAGE:
                 [--profile] [--profile-out FILE]
   ceps serve    --graph FILE [--requests N] [--queries-per Q] [--workers W]
                 [--repeat R] [--budget N] [--alpha A] [--cache-mb M]
-                [--coalesce-us U] [--coalesce-batch N] [--warm-frac F]
-                [--seed N] [--threads N] [--precision f64|f32] [--json]
+                [--warm-frac F] [--seed N] [--threads N]
+                [--precision f64|f32] [--json]
                 [--profile] [--profile-out FILE]
                 [--metrics-out FILE.prom] [--metrics-interval MS]
                 [--trace-out FILE.jsonl] [--trace-sample RATE]
@@ -262,6 +258,7 @@ USAGE:
                 [--threads N]
   ceps import   --pairs FILE --out FILE --labels-out FILE
   ceps help
+  ceps <command> --help      (or -h) prints this text
 
   --threads N uses a persistent worker pool for the RWR solves; 0 = auto
   (all available cores, default 1). Small solves fall back to the
@@ -276,12 +273,11 @@ USAGE:
   client talks to it over the same address grammar. Wire replies are
   byte-identical to the in-process API's results.
 
-  serve --coalesce-us U holds cache misses in a bounded micro-batching
-  window (U microseconds, --coalesce-batch rows max) so concurrent
-  requests missing overlapping RWR rows share one wide solve; 0 (the
-  default) disables coalescing. --warm-frac F pre-solves the top-degree
-  rows into the cache at startup, up to F of the cache byte budget.
-  Both preserve bitwise-identical replies.
+  serve keeps RWR rows in a shared row cache (--cache-mb, 0 disables
+  it); concurrent requests missing the same row wait for one solve
+  instead of repeating it. --warm-frac F pre-solves the top-degree rows
+  into the cache at startup, up to F of the cache byte budget. Both
+  preserve bitwise-identical replies.
 
   loadgen drives a running serve --listen open-loop: arrivals fire on a
   pre-built deterministic schedule and every latency is charged to the
@@ -304,6 +300,11 @@ fn take_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     let mut i = 0;
     while i < args.len() {
         let key = &args[i];
+        if key == "-h" || key == "--help" {
+            flags.insert("help".to_string(), "true".to_string());
+            i += 1;
+            continue;
+        }
         if !key.starts_with("--") {
             return Err(CliError(format!("unexpected argument {key:?}")));
         }
@@ -383,11 +384,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let flags = take_flags(&args[1..]);
+    if flags.as_ref().is_ok_and(|f| f.contains_key("help")) {
+        return Ok(Command::Help);
+    }
     match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
         "generate" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             Ok(Command::Generate {
                 scale: flags
                     .get("scale")
@@ -399,13 +405,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "stats" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             Ok(Command::Stats {
                 graph: PathBuf::from(required(&flags, "graph")?),
             })
         }
         "query" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             Ok(Command::Query {
                 graph: PathBuf::from(required(&flags, "graph")?),
                 labels: flags.get("labels").map(PathBuf::from),
@@ -431,7 +437,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "serve" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             let repeat: f64 = num(&flags, "repeat", 0.5f64)?;
             if !(0.0..=1.0).contains(&repeat) {
                 return Err(CliError(format!("--repeat {repeat} must lie in [0, 1]")));
@@ -445,10 +451,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let metrics_interval_ms: u64 = num(&flags, "metrics-interval", 500u64)?;
             if metrics_interval_ms == 0 {
                 return Err(CliError("--metrics-interval must be at least 1 ms".into()));
-            }
-            let coalesce_batch: usize = num(&flags, "coalesce-batch", 32usize)?;
-            if coalesce_batch == 0 {
-                return Err(CliError("--coalesce-batch must be at least 1".into()));
             }
             let warm_frac: f64 = num(&flags, "warm-frac", 0.0f64)?;
             if !(0.0..=1.0).contains(&warm_frac) {
@@ -465,8 +467,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 budget: num(&flags, "budget", 20usize)?,
                 alpha: num(&flags, "alpha", 0.5f64)?,
                 cache_mb: num(&flags, "cache-mb", 64usize)?,
-                coalesce_us: num(&flags, "coalesce-us", 0u64)?,
-                coalesce_batch,
                 warm_frac,
                 seed: num(&flags, "seed", 0u64)?,
                 threads: num(&flags, "threads", 1usize)?,
@@ -483,7 +483,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "client" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             let mut actions = Vec::new();
             if let Some(q) = flags.get("queries") {
                 actions.push(ClientAction::Query(q.clone()));
@@ -532,7 +532,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "loadgen" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             let arrival_str = flags
                 .get("arrival")
                 .map(String::as_str)
@@ -587,7 +587,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "autok" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             Ok(Command::AutoK {
                 graph: PathBuf::from(required(&flags, "graph")?),
                 labels: flags.get("labels").map(PathBuf::from),
@@ -597,7 +597,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "import" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             Ok(Command::Import {
                 pairs: PathBuf::from(required(&flags, "pairs")?),
                 out: PathBuf::from(required(&flags, "out")?),
@@ -605,7 +605,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "partition" => {
-            let flags = take_flags(rest)?;
+            let flags = flags?;
             Ok(Command::Partition {
                 graph: PathBuf::from(required(&flags, "graph")?),
                 parts: num(&flags, "parts", 0usize).and_then(|p| {
@@ -636,6 +636,33 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&v(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse(&v(&["--help"])).unwrap(), Command::Help);
+        // `--help` / `-h` after any subcommand prints usage too.
+        for cmd in [
+            "generate",
+            "stats",
+            "query",
+            "partition",
+            "serve",
+            "client",
+            "loadgen",
+            "autok",
+            "import",
+        ] {
+            for flag in ["--help", "-h"] {
+                assert_eq!(
+                    parse(&v(&[cmd, flag])).unwrap(),
+                    Command::Help,
+                    "{cmd} {flag}"
+                );
+            }
+        }
+        // Anywhere in the flag list, even after required flags.
+        assert_eq!(
+            parse(&v(&["query", "--graph", "g", "--help"])).unwrap(),
+            Command::Help
+        );
+        // As the value of a flag, "-h" stays a value.
+        assert!(parse(&v(&["query", "--graph", "-h"])).is_err());
     }
 
     #[test]
@@ -793,41 +820,15 @@ mod tests {
     }
 
     #[test]
-    fn serve_coalescing_and_warming_flags_parse_with_bounds() {
+    fn serve_warming_flag_parses_with_bounds() {
         let c = parse(&v(&["serve", "--graph", "g"])).unwrap();
         match c {
-            Command::Serve {
-                coalesce_us,
-                coalesce_batch,
-                warm_frac,
-                ..
-            } => {
-                assert_eq!(coalesce_us, 0, "coalescing defaults to off");
-                assert_eq!(coalesce_batch, 32);
-                assert_eq!(warm_frac, 0.0, "warming defaults to off");
+            Command::Serve { warm_frac, .. } => {
+                assert_eq!(warm_frac, 0.0, "warming defaults to off")
             }
             other => panic!("{other:?}"),
         }
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
-            "--coalesce-us",
-            "500",
-            "--coalesce-batch",
-            "16",
-            "--warm-frac",
-            "0.25",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                coalesce_us: 500,
-                coalesce_batch: 16,
-                ..
-            }
-        ));
+        let c = parse(&v(&["serve", "--graph", "g", "--warm-frac", "0.25"])).unwrap();
         match c {
             Command::Serve { warm_frac, .. } => assert_eq!(warm_frac, 0.25),
             other => panic!("{other:?}"),
@@ -836,12 +837,6 @@ mod tests {
             .unwrap_err()
             .0
             .contains("--warm-frac"));
-        assert!(
-            parse(&v(&["serve", "--graph", "g", "--coalesce-batch", "0"]))
-                .unwrap_err()
-                .0
-                .contains("--coalesce-batch")
-        );
     }
 
     #[test]

@@ -79,8 +79,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             budget,
             alpha,
             cache_mb,
-            coalesce_us,
-            coalesce_batch,
             warm_frac,
             seed,
             threads,
@@ -104,8 +102,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 budget,
                 alpha,
                 cache_mb,
-                coalesce_us,
-                coalesce_batch,
                 warm_frac,
                 seed,
                 threads,
@@ -511,8 +507,6 @@ struct ServeOptions {
     budget: usize,
     alpha: f64,
     cache_mb: usize,
-    coalesce_us: u64,
-    coalesce_batch: usize,
     warm_frac: f64,
     seed: u64,
     threads: usize,
@@ -601,16 +595,10 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
         .threads(opts.threads)
         .precision(opts.precision);
     let engine = CepsEngine::new(graph, cfg)?;
-    let mut builder = CepsServiceBuilder::new()
+    let service = CepsServiceBuilder::new()
         .cache_bytes(opts.cache_mb << 20)
-        .workers(opts.workers);
-    if opts.coalesce_us > 0 {
-        builder = builder.coalesce(ceps_core::CoalesceConfig {
-            window_us: opts.coalesce_us,
-            max_batch: opts.coalesce_batch,
-        });
-    }
-    let service = builder.build(engine);
+        .workers(opts.workers)
+        .build(engine);
     // --profile and --metrics-out need the registry live, and --flight-out
     // feeds on span events under --listen. Install (and reset) before
     // warming so the startup `serve.warm.*` counters land in the export
@@ -658,7 +646,7 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
         })
         .transpose()?;
 
-    let served = service.serve_stream_traced(&stream, opts.workers, tracer.as_ref());
+    let served = service.serve_stream(&stream, opts.workers, tracer.as_ref());
     // Stop the exporter before reporting (even on error): the drop performs
     // one final flush, so the .prom file matches the final registry state.
     drop(exporter);
@@ -683,11 +671,6 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
             "cache_fill": health.fill_ratio(),
             "warm_rows": health.warm_rows,
             "singleflight_waits": health.singleflight_waits,
-            "coalesce": serde_json::json!({
-                "batches": health.coalesce_batches,
-                "rows": health.coalesce_rows,
-                "coalesced": health.coalesced,
-            }),
             "latency_ms": latency,
             "mean_stage_ms": serde_json::json!({
                 "scores": mean_stages.scores_ms,
@@ -726,15 +709,11 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
                 stats.hits, stats.misses, stats.evictions, opts.cache_mb,
             ));
             out.push_str(&format!(
-                "cache fill {:.1}% ({} rows, {} warmed); single-flight waits {}; \
-                 coalesced {} of {} rows in {} batches\n",
+                "cache fill {:.1}% ({} rows, {} warmed); single-flight waits {}\n",
                 100.0 * health.fill_ratio(),
                 health.cache_rows,
                 health.warm_rows,
                 health.singleflight_waits,
-                health.coalesced,
-                health.coalesce_rows,
-                health.coalesce_batches,
             ));
         }
         None => out.push_str("cache: disabled\n"),
@@ -907,7 +886,7 @@ fn render_server_health(stats: &ceps_net::ServerStats) -> String {
         stats.queue_p99_ms,
         stats.cache.as_ref().map_or(String::new(), |c| format!(
             "cache: {} hits / {} misses, {} evictions; fill {:.1}% ({} rows, {} warmed)\n\
-             single-flight waits {}; coalesced {} rows in {} batches\n",
+             single-flight waits {}\n",
             c.hits,
             c.misses,
             c.evictions,
@@ -915,8 +894,6 @@ fn render_server_health(stats: &ceps_net::ServerStats) -> String {
             stats.cache_rows,
             stats.warm_rows,
             stats.singleflight_waits,
-            stats.coalesced,
-            stats.coalesce_batches,
         )),
     )
 }
@@ -1333,10 +1310,14 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ceps_cli_tests");
+    /// A fresh scratch directory private to one test, keyed by the test's
+    /// name and the process id, so parallel tests (and concurrent test
+    /// binaries) never read each other's half-written files.
+    fn scratch(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ceps_cli_{test}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        dir
     }
 
     /// Serializes tests that install/uninstall the global `ceps-obs`
@@ -1346,9 +1327,9 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn generated() -> (PathBuf, PathBuf) {
-        let g = tmp("g.txt");
-        let l = tmp("l.txt");
+    fn generated(dir: &Path) -> (PathBuf, PathBuf) {
+        let g = dir.join("g.txt");
+        let l = dir.join("l.txt");
         let msg = execute(Command::Generate {
             scale: "tiny".into(),
             seed: 3,
@@ -1362,7 +1343,8 @@ mod tests {
 
     #[test]
     fn generate_then_stats() {
-        let (g, _) = generated();
+        let dir = scratch("generate_then_stats");
+        let (g, _) = generated(&dir);
         let out = execute(Command::Stats { graph: g }).unwrap();
         assert!(out.contains("nodes: 100"));
         assert!(out.contains("components:"));
@@ -1370,7 +1352,8 @@ mod tests {
 
     #[test]
     fn query_by_name_and_by_id() {
-        let (g, l) = generated();
+        let dir = scratch("query_by_name_and_by_id");
+        let (g, l) = generated(&dir);
         let labels = load_labels(&l).unwrap();
         let name0 = labels.name(NodeId(0));
         let name1 = labels.name(NodeId(30));
@@ -1414,8 +1397,9 @@ mod tests {
 
     #[test]
     fn query_json_and_dot_outputs() {
-        let (g, l) = generated();
-        let dot_path = tmp("out.dot");
+        let dir = scratch("query_json_and_dot_outputs");
+        let (g, l) = generated(&dir);
+        let dot_path = dir.join("out.dot");
         let out = execute(Command::Query {
             graph: g,
             labels: Some(l),
@@ -1441,9 +1425,10 @@ mod tests {
 
     #[test]
     fn query_profile_prints_tree_and_writes_snapshot() {
+        let dir = scratch("query_profile_prints_tree_and_writes_snapshot");
         let _guard = recorder_lock();
-        let (g, l) = generated();
-        let profile_path = tmp("obs_profile.json");
+        let (g, l) = generated(&dir);
+        let profile_path = dir.join("obs_profile.json");
         let out = execute(Command::Query {
             graph: g,
             labels: Some(l),
@@ -1474,8 +1459,9 @@ mod tests {
 
     #[test]
     fn partition_writes_assignments() {
-        let (g, _) = generated();
-        let out_path = tmp("parts.txt");
+        let dir = scratch("partition_writes_assignments");
+        let (g, _) = generated(&dir);
+        let out_path = dir.join("parts.txt");
         let msg = execute(Command::Partition {
             graph: g,
             parts: 4,
@@ -1490,7 +1476,8 @@ mod tests {
 
     #[test]
     fn unknown_author_is_a_clean_error() {
-        let (g, l) = generated();
+        let dir = scratch("unknown_author_is_a_clean_error");
+        let (g, l) = generated(&dir);
         let err = execute(Command::Query {
             graph: g,
             labels: Some(l),
@@ -1512,7 +1499,8 @@ mod tests {
 
     #[test]
     fn autok_reports_k_and_ranks() {
-        let (g, l) = generated();
+        let dir = scratch("autok_reports_k_and_ranks");
+        let (g, l) = generated(&dir);
         let out = execute(Command::AutoK {
             graph: g,
             labels: Some(l),
@@ -1528,14 +1516,15 @@ mod tests {
 
     #[test]
     fn import_round_trips_through_query() {
-        let pairs = tmp("pairs.tsv");
+        let dir = scratch("import_round_trips_through_query");
+        let pairs = dir.join("pairs.tsv");
         fs::write(
             &pairs,
             "Ada Lovelace\tCharles Babbage\t3\nAda Lovelace\tLuigi Menabrea\n",
         )
         .unwrap();
-        let g = tmp("imported.txt");
-        let l = tmp("imported_labels.txt");
+        let g = dir.join("imported.txt");
+        let l = dir.join("imported_labels.txt");
         let msg = execute(Command::Import {
             pairs,
             out: g.clone(),
@@ -1564,7 +1553,8 @@ mod tests {
 
     #[test]
     fn serve_reports_throughput_and_cache() {
-        let (g, _) = generated();
+        let dir = scratch("serve_reports_throughput_and_cache");
+        let (g, _) = generated(&dir);
         let out = execute(Command::Serve {
             graph: g.clone(),
             requests: 10,
@@ -1574,8 +1564,6 @@ mod tests {
             budget: 4,
             alpha: 0.5,
             cache_mb: 16,
-            coalesce_us: 0,
-            coalesce_batch: 32,
             warm_frac: 0.0,
             seed: 1,
             threads: 1,
@@ -1603,8 +1591,6 @@ mod tests {
             budget: 4,
             alpha: 0.5,
             cache_mb: 0,
-            coalesce_us: 0,
-            coalesce_batch: 32,
             warm_frac: 0.0,
             seed: 1,
             threads: 1,
@@ -1629,9 +1615,9 @@ mod tests {
 
     #[test]
     fn serve_listen_and_client_round_trip_over_unix_socket() {
-        let (g, _) = generated();
-        let sock = tmp(&format!("cli-net-{}.sock", std::process::id()));
-        let _ = fs::remove_file(&sock);
+        let dir = scratch("serve_listen_and_client_round_trip_over_unix_socket");
+        let (g, _) = generated(&dir);
+        let sock = dir.join("s.sock");
         let addr = sock.display().to_string();
 
         let server = std::thread::spawn({
@@ -1647,8 +1633,6 @@ mod tests {
                     budget: 4,
                     alpha: 0.5,
                     cache_mb: 16,
-                    coalesce_us: 0,
-                    coalesce_batch: 32,
                     warm_frac: 0.0,
                     seed: 1,
                     threads: 1,
@@ -1722,9 +1706,9 @@ mod tests {
 
     #[test]
     fn loadgen_drives_a_unix_socket_server_and_checks_the_slo() {
-        let (g, _) = generated();
-        let sock = tmp(&format!("cli-load-{}.sock", std::process::id()));
-        let _ = fs::remove_file(&sock);
+        let dir = scratch("loadgen_drives_a_unix_socket_server_and_checks_the_slo");
+        let (g, _) = generated(&dir);
+        let sock = dir.join("s.sock");
         let addr = sock.display().to_string();
 
         let server = std::thread::spawn({
@@ -1740,8 +1724,6 @@ mod tests {
                     budget: 4,
                     alpha: 0.5,
                     cache_mb: 16,
-                    coalesce_us: 0,
-                    coalesce_batch: 32,
                     warm_frac: 0.0,
                     seed: 1,
                     threads: 1,
@@ -1766,7 +1748,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
 
-        let out_path = tmp("loadgen-report.json");
+        let out_path = dir.join("loadgen-report.json");
         let out = execute(Command::Loadgen {
             connect: addr.clone(),
             rps: 40.0,
@@ -1814,15 +1796,12 @@ mod tests {
 
     #[test]
     fn traced_wire_round_trip_shares_trace_ids_and_dumps_the_flight_ring() {
-        let (g, _) = generated();
-        let pid = std::process::id();
-        let sock = tmp(&format!("cli-traced-{pid}.sock"));
-        let server_traces = tmp(&format!("server-traces-{pid}.jsonl"));
-        let client_traces = tmp(&format!("client-traces-{pid}.jsonl"));
-        let flight = tmp(&format!("flight-{pid}.jsonl"));
-        for p in [&sock, &server_traces, &client_traces, &flight] {
-            let _ = fs::remove_file(p);
-        }
+        let dir = scratch("traced_wire_round_trip_shares_trace_ids_and_dumps_the_flight_ring");
+        let (g, _) = generated(&dir);
+        let sock = dir.join("s.sock");
+        let server_traces = dir.join("server-traces.jsonl");
+        let client_traces = dir.join("client-traces.jsonl");
+        let flight = dir.join("flight.jsonl");
         let addr = sock.display().to_string();
 
         let server = std::thread::spawn({
@@ -1840,8 +1819,6 @@ mod tests {
                     budget: 4,
                     alpha: 0.5,
                     cache_mb: 16,
-                    coalesce_us: 0,
-                    coalesce_batch: 32,
                     warm_frac: 0.0,
                     seed: 1,
                     threads: 1,
@@ -1935,12 +1912,12 @@ mod tests {
 
     #[test]
     fn serve_writes_metrics_and_traces() {
+        let dir = scratch("serve_writes_metrics_and_traces");
         let _guard = recorder_lock();
-        let (g, _) = generated();
-        let prom = tmp("serve_metrics.prom");
-        let events = tmp("serve_metrics.jsonl");
-        let traces = tmp("serve_traces.jsonl");
-        let _ = fs::remove_file(&events);
+        let (g, _) = generated(&dir);
+        let prom = dir.join("serve_metrics.prom");
+        let events = dir.join("serve_metrics.jsonl");
+        let traces = dir.join("serve_traces.jsonl");
         let out = execute(Command::Serve {
             graph: g,
             requests: 8,
@@ -1950,8 +1927,6 @@ mod tests {
             budget: 4,
             alpha: 0.5,
             cache_mb: 16,
-            coalesce_us: 0,
-            coalesce_batch: 32,
             warm_frac: 0.0,
             seed: 1,
             threads: 1,

@@ -32,10 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ceps_graph::{IntoSharedGraph, NodeId, Precision};
-use ceps_rwr::{
-    row_cost_bytes, scores_with_cache_coalesced, CacheStats, CoalesceConfig, CoalesceStats,
-    Coalescer, RwrRowCache, ScoreMatrix,
-};
+use ceps_rwr::{row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, RwrRowCache};
 
 use crate::pipeline::{CepsEngine, CepsResult, StageTimes};
 use crate::telemetry::{RequestTrace, RequestTracer};
@@ -50,7 +47,7 @@ pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 const WARM_CHUNK: usize = 32;
 
 /// One CePS query as every serving surface sees it — the in-process
-/// [`CepsService::serve`] call, the `ceps-wire/v1` `Query` frame in
+/// [`CepsService::run`] call, the `ceps-wire/v1` `Query` frame in
 /// `ceps-net`, and stream replay all share this exact struct (serde on the
 /// same fields), so the wire layer adds no second request vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -133,9 +130,7 @@ impl ServeReply {
     }
 }
 
-/// Configures and builds a [`CepsService`] — the one construction surface
-/// (the old `new`/`with_shards`/`uncached` trio delegates here and is
-/// deprecated).
+/// Configures and builds a [`CepsService`] — the one construction surface.
 ///
 /// ```
 /// use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder};
@@ -158,7 +153,6 @@ pub struct CepsServiceBuilder {
     shards: Option<usize>,
     workers: usize,
     precision: Option<Precision>,
-    coalesce: CoalesceConfig,
 }
 
 impl Default for CepsServiceBuilder {
@@ -168,7 +162,6 @@ impl Default for CepsServiceBuilder {
             shards: None,
             workers: 1,
             precision: None,
-            coalesce: CoalesceConfig::default(),
         }
     }
 }
@@ -181,7 +174,7 @@ impl CepsServiceBuilder {
     }
 
     /// Sets the row-cache byte budget. `0` disables the cache entirely
-    /// (every query solves cold — the old `uncached` constructor).
+    /// (every query solves cold).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
         self
@@ -207,16 +200,6 @@ impl CepsServiceBuilder {
         self
     }
 
-    /// Sets the miss-coalescing window (see [`CoalesceConfig`]): concurrent
-    /// requests pool their cache misses for up to `window_us` and solve
-    /// them through one wide batched backend call. The default config is
-    /// **off** (`window_us == 0`); coalescing also requires a cache
-    /// (ignored under [`uncached`](CepsServiceBuilder::uncached)).
-    pub fn coalesce(mut self, cfg: CoalesceConfig) -> Self {
-        self.coalesce = cfg;
-        self
-    }
-
     /// Overrides the operator storage precision when the builder also
     /// builds the engine ([`CepsServiceBuilder::build_from_graph`]); a
     /// pre-built engine passed to [`CepsServiceBuilder::build`] keeps its
@@ -236,12 +219,9 @@ impl CepsServiceBuilder {
                 None => RwrRowCache::new(self.cache_bytes),
             }))
         };
-        let coalesce = (cache.is_some() && self.coalesce.enabled())
-            .then(|| Arc::new(Coalescer::new(self.coalesce)));
         CepsService {
             engine,
             cache,
-            coalesce,
             warm_rows: Arc::new(AtomicU64::new(0)),
             workers: self.workers.max(1),
         }
@@ -272,64 +252,16 @@ impl CepsServiceBuilder {
 pub struct CepsService {
     engine: CepsEngine,
     cache: Option<Arc<RwrRowCache>>,
-    /// Shared miss-coalescing window; `Some` only when a cache exists and
-    /// the builder enabled a window. Clones share it, so every worker of a
-    /// fanned-out service pools misses into the same window.
-    coalesce: Option<Arc<Coalescer>>,
     /// Rows pre-solved by [`CepsService::warm`], shared across clones.
     warm_rows: Arc<AtomicU64>,
     workers: usize,
 }
 
 impl CepsService {
-    /// Wraps `engine` with a row cache of `cache_bytes` total budget
-    /// (sharded [`ceps_rwr::cache::DEFAULT_SHARDS`] ways). A zero budget
-    /// behaves like [`CepsService::uncached`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use CepsServiceBuilder::new().cache_bytes(..)"
-    )]
-    pub fn new(engine: CepsEngine, cache_bytes: usize) -> Self {
-        CepsServiceBuilder::new()
-            .cache_bytes(cache_bytes)
-            .build(engine)
-    }
-
-    /// Like `CepsService::new` with an explicit shard count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use CepsServiceBuilder::new().cache_bytes(..).shards(..)"
-    )]
-    pub fn with_shards(engine: CepsEngine, cache_bytes: usize, shards: usize) -> Self {
-        CepsServiceBuilder::new()
-            .cache_bytes(cache_bytes)
-            .shards(shards)
-            .build(engine)
-    }
-
-    /// Wraps `engine` with no cache at all — every query solves cold.
-    /// The control arm of the serving benchmark.
-    #[deprecated(since = "0.1.0", note = "use CepsServiceBuilder::new().uncached()")]
-    pub fn uncached(engine: CepsEngine) -> Self {
-        CepsServiceBuilder::new().uncached().build(engine)
-    }
-
     /// The default worker count serving harnesses should fan this service
     /// over (set via [`CepsServiceBuilder::workers`], at least 1).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The unified request/response entry point: answers one
-    /// [`ServeRequest`] with a [`ServeReply`]. This is exactly the path
-    /// the `ceps-net` wire protocol drives — byte-identical replies
-    /// in-process and over a socket.
-    ///
-    /// # Errors
-    /// As in [`CepsEngine::run`].
-    pub fn serve(&self, request: &ServeRequest) -> Result<ServeReply> {
-        let result = self.run(&request.queries)?;
-        Ok(ServeReply::from_result(&result, &request.queries))
     }
 
     /// The wrapped engine.
@@ -342,18 +274,9 @@ impl CepsService {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Snapshot of the coalescing-window counters (zeros when the window
-    /// is off — coalescing disabled, or the service runs uncached).
-    pub fn coalesce_stats(&self) -> CoalesceStats {
-        self.coalesce
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
-    }
-
     /// Operator-facing serving health: cache occupancy against its budget,
-    /// warm-row count, and the coalesce/single-flight counters. All zeros
-    /// when running uncached.
+    /// warm-row count, and the single-flight counter. All zeros when
+    /// running uncached.
     pub fn serve_health(&self) -> ServeHealth {
         let (cache_rows, cache_bytes, cache_budget_bytes, singleflight_waits) = self
             .cache
@@ -367,16 +290,12 @@ impl CepsService {
                 )
             })
             .unwrap_or_default();
-        let co = self.coalesce_stats();
         ServeHealth {
             cache_rows,
             cache_bytes,
             cache_budget_bytes,
             warm_rows: self.warm_rows.load(Ordering::Relaxed),
             singleflight_waits,
-            coalesce_batches: co.batches,
-            coalesce_rows: co.batch_rows,
-            coalesced: co.coalesced,
         }
     }
 
@@ -390,8 +309,7 @@ impl CepsService {
     /// as ordinary misses/insertions. A no-op (`Ok(0)`) when uncached.
     ///
     /// # Errors
-    /// Backend solve errors as in
-    /// [`individual_scores`](CepsService::individual_scores).
+    /// Backend solve errors as in [`run`](CepsService::run).
     pub fn warm(&self, budget_bytes: usize) -> Result<usize> {
         let Some(cache) = &self.cache else {
             return Ok(0);
@@ -417,7 +335,7 @@ impl CepsService {
         nodes.truncate(max_rows);
         let mut warmed = 0usize;
         for chunk in nodes.chunks(WARM_CHUNK) {
-            scores_with_cache_coalesced(self.engine.backend().as_ref(), cache, chunk, None)?;
+            scores_with_cache(self.engine.backend().as_ref(), cache, chunk)?;
             warmed += chunk.len();
         }
         self.warm_rows.fetch_add(warmed as u64, Ordering::Relaxed);
@@ -426,79 +344,45 @@ impl CepsService {
         Ok(warmed)
     }
 
-    /// Step 1 with cache assembly: hits are served from the store, misses
-    /// are batched through one backend solve and inserted.
-    ///
-    /// # Errors
-    /// Query validation and solver errors as in
-    /// [`CepsEngine::individual_scores`].
-    pub fn individual_scores(&self, queries: &[NodeId]) -> Result<ScoreMatrix> {
-        self.engine.validate_queries(queries)?;
-        match &self.cache {
-            Some(cache) => Ok(scores_with_cache_coalesced(
-                self.engine.backend().as_ref(),
-                cache,
-                queries,
-                self.coalesce.as_deref(),
-            )?
-            .0),
-            None => self.engine.individual_scores(queries),
-        }
-    }
-
-    /// The full pipeline (Table 1) with cached Step 1.
-    ///
-    /// # Errors
-    /// As in [`CepsEngine::run`].
-    pub fn run(&self, queries: &[NodeId]) -> Result<CepsResult> {
-        Ok(self.run_timed(queries)?.0)
-    }
-
-    /// Like [`run`](CepsService::run), also returning the per-stage wall
-    /// times (`scores_ms` covers the whole Step 1 assembly: cache probes
-    /// plus the batched solve over misses). The request runs under a
+    /// Answers one query set: the full pipeline (Table 1) with Step 1
+    /// assembled from the row cache — hits are served from the store,
+    /// misses are batched through one backend solve (single-flight across
+    /// concurrent requests) and inserted. The request runs under a
     /// `serve.request` span with the stage spans nested inside it.
     ///
-    /// # Errors
-    /// As in [`CepsEngine::run`].
-    pub fn run_timed(&self, queries: &[NodeId]) -> Result<(CepsResult, StageTimes)> {
-        self.run_instrumented(queries).map(|(r, m)| (r, m.stages))
-    }
-
-    /// Like [`run_timed`](CepsService::run_timed), additionally reporting
-    /// this request's own cache outcome — how many of its distinct query
-    /// rows were warm vs solved cold (always 0/0 when running uncached).
-    /// This is what per-request tracing records; the global
+    /// Alongside the result it reports this request's own
+    /// [`RequestMetrics`]: per-stage wall times (`scores_ms` covers the
+    /// whole Step 1 assembly) and how many of its distinct query rows were
+    /// warm vs solved cold (always 0/0 when running uncached). The global
     /// [`cache_stats`](CepsService::cache_stats) counters cannot attribute
-    /// warmth to a single request in a concurrent stream.
+    /// warmth to a single request in a concurrent stream. Wire callers
+    /// project the result with [`ServeReply::from_result`], so replies are
+    /// byte-identical in-process and over a socket.
     ///
     /// # Errors
-    /// As in [`CepsEngine::run`].
-    pub fn run_instrumented(&self, queries: &[NodeId]) -> Result<(CepsResult, RequestMetrics)> {
+    /// As in [`CepsEngine::run`]; queries are validated before the cache
+    /// is touched.
+    pub fn run(&self, queries: &[NodeId]) -> Result<(CepsResult, RequestMetrics)> {
         let _span = ceps_obs::span("serve.request");
         self.engine.validate_queries(queries)?;
         self.engine.config().validate(queries.len())?;
         let (step1, t_scores) = ceps_obs::timed("stage.individual_scores", || match &self.cache {
-            Some(cache) => {
-                let (m, l) = scores_with_cache_coalesced(
-                    self.engine.backend().as_ref(),
-                    cache,
-                    queries,
-                    self.coalesce.as_deref(),
-                )?;
-                Ok((m, l.hits, l.misses))
-            }
-            None => self.engine.individual_scores(queries).map(|m| (m, 0, 0)),
+            Some(cache) => scores_with_cache(self.engine.backend().as_ref(), cache, queries)
+                .map_err(Into::into),
+            None => self
+                .engine
+                .individual_scores(queries)
+                .map(|m| (m, CacheLookups::default())),
         });
-        let (scores, cache_hits, cache_misses) = step1?;
-        let (result, mut times) = self.engine.run_with_scores_timed(queries, scores)?;
-        times.scores_ms = t_scores.as_secs_f64() * 1e3;
+        let (scores, lookups) = step1?;
+        let (result, mut stages) = self.engine.run_with_scores_timed(queries, scores)?;
+        stages.scores_ms = t_scores.as_secs_f64() * 1e3;
         Ok((
             result,
             RequestMetrics {
-                stages: times,
-                cache_hits,
-                cache_misses,
+                stages,
+                cache_hits: lookups.hits,
+                cache_misses: lookups.misses,
             },
         ))
     }
@@ -512,16 +396,8 @@ impl CepsService {
     /// scheduling-dependent — but results are not: every worker reads
     /// through the same cache and the backend is deterministic.
     ///
-    /// # Errors
-    /// The first query-set error a worker hits (remaining sets still
-    /// drain; their results are discarded).
-    pub fn serve_stream(&self, stream: &[Vec<NodeId>], workers: usize) -> Result<ServeOutcome> {
-        self.serve_stream_traced(stream, workers, None)
-    }
-
-    /// [`serve_stream`](CepsService::serve_stream) with an optional
-    /// per-request [`RequestTracer`]: each request gets a deterministic id
-    /// (its stream index) and, when sampled, one `ceps-trace/v1` JSONL
+    /// With a [`RequestTracer`] attached, each request gets a deterministic
+    /// id (its stream index) and, when sampled, one `ceps-trace/v1` JSONL
     /// line recording worker, latency, stage times, this request's cache
     /// hits/misses, budget, extracted path count and outcome. Errored
     /// requests are traced too (zeroed stages, `outcome: "error"`).
@@ -532,8 +408,9 @@ impl CepsService {
     /// happens (no-ops unless a recorder is installed).
     ///
     /// # Errors
-    /// As in [`serve_stream`](CepsService::serve_stream).
-    pub fn serve_stream_traced(
+    /// The first query-set error a worker hits (remaining sets still
+    /// drain; their results are discarded).
+    pub fn serve_stream(
         &self,
         stream: &[Vec<NodeId>],
         workers: usize,
@@ -566,51 +443,29 @@ impl CepsService {
                             // way.
                             let _trace_guard = (tracer.is_some() || ceps_obs::enabled())
                                 .then(|| ceps_obs::with_trace(ceps_obs::TraceContext::new_root()));
-                            match self.run_instrumented(queries) {
-                                Ok((result, metrics)) => {
-                                    let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
+                            let outcome = self.run(queries);
+                            let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
+                            if let Some(tracer) = tracer {
+                                tracer.record(&RequestTrace {
+                                    request_id: i as u64,
+                                    worker: w,
+                                    queries: queries.len(),
+                                    latency_ms,
+                                    budget: self.engine.config().budget,
+                                    trace_id: ceps_obs::current_trace().map(|c| c.trace_id),
+                                    ..RequestTrace::from_outcome(&outcome)
+                                });
+                            }
+                            match outcome {
+                                Ok((_, metrics)) => {
                                     latencies.push(latency_ms);
                                     stages.accumulate(&metrics.stages);
                                     ceps_obs::counter("serve.requests", 1);
                                     ceps_obs::record("serve.latency_ms", latency_ms);
-                                    if let Some(tracer) = tracer {
-                                        tracer.record(&RequestTrace {
-                                            request_id: i as u64,
-                                            worker: w,
-                                            queries: queries.len(),
-                                            latency_ms,
-                                            queue_ms: 0.0,
-                                            stages: metrics.stages,
-                                            cache_hits: metrics.cache_hits,
-                                            cache_misses: metrics.cache_misses,
-                                            budget: self.engine.config().budget,
-                                            paths: result.paths.len(),
-                                            error: None,
-                                            trace_id: ceps_obs::current_trace().map(|c| c.trace_id),
-                                        });
-                                    }
                                 }
                                 Err(e) => {
                                     ceps_obs::counter("serve.errors", 1);
-                                    if let Some(tracer) = tracer {
-                                        tracer.record(&RequestTrace {
-                                            request_id: i as u64,
-                                            worker: w,
-                                            queries: queries.len(),
-                                            latency_ms: t0.elapsed().as_secs_f64() * 1e3,
-                                            queue_ms: 0.0,
-                                            stages: StageTimes::default(),
-                                            cache_hits: 0,
-                                            cache_misses: 0,
-                                            budget: self.engine.config().budget,
-                                            paths: 0,
-                                            error: Some(e.to_string()),
-                                            trace_id: ceps_obs::current_trace().map(|c| c.trace_id),
-                                        });
-                                    }
-                                    if first_err.is_none() {
-                                        first_err = Some(e);
-                                    }
+                                    first_err.get_or_insert(e);
                                 }
                             }
                         }
@@ -656,8 +511,7 @@ impl CepsService {
     }
 }
 
-/// One request's own measurements, as returned by
-/// [`CepsService::run_instrumented`].
+/// One request's own measurements, as returned by [`CepsService::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestMetrics {
     /// Per-stage wall times for this request.
@@ -671,7 +525,7 @@ pub struct RequestMetrics {
 /// Operator-facing serving health snapshot, as returned by
 /// [`CepsService::serve_health`] — the numbers a `Stats` reply and the
 /// drain summary surface so operators can see whether warming actually
-/// populated the cache and whether coalescing is doing anything.
+/// populated the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ServeHealth {
     /// Rows currently resident in the cache.
@@ -686,14 +540,6 @@ pub struct ServeHealth {
     /// Misses that blocked on another request's in-flight solve instead of
     /// duplicating it.
     pub singleflight_waits: u64,
-    /// Coalescing windows drained (one batched solve each); 0 when the
-    /// window is off.
-    pub coalesce_batches: u64,
-    /// Rows solved through drained coalescing windows, own and foreign.
-    pub coalesce_rows: u64,
-    /// Rows that rode a coalescing batch issued by *another* request — the
-    /// redundant solves coalescing eliminated.
-    pub coalesced: u64,
 }
 
 impl ServeHealth {
@@ -770,17 +616,7 @@ impl ServeOutcome {
     /// minimum, `p >= 100` (and non-finite `p`) the maximum — so the
     /// result is never `NaN` and never indexes out of bounds.
     pub fn latency_percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
-        let n = self.latencies_ms.len();
-        let p = if p.is_finite() {
-            p.clamp(0.0, 100.0)
-        } else {
-            100.0
-        };
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.latencies_ms[rank.clamp(1, n) - 1]
+        ceps_obs::nearest_rank(&self.latencies_ms, p)
     }
 
     /// Mean per-request stage times — [`ServeOutcome::stages`] divided by
@@ -839,7 +675,7 @@ mod tests {
         let queries = [NodeId(1), NodeId(6)];
         // Twice: cold then fully warm.
         for _ in 0..2 {
-            let served = service.run(&queries).unwrap();
+            let (served, _) = service.run(&queries).unwrap();
             let direct = e.run(&queries).unwrap();
             assert_eq!(served.scores, direct.scores);
             assert_eq!(served.combined, direct.combined);
@@ -859,9 +695,15 @@ mod tests {
         assert!(service.cache_stats().is_none());
         let queries = [NodeId(0), NodeId(11)];
         assert_eq!(
-            service.individual_scores(&queries).unwrap(),
+            service.run(&queries).unwrap().0.scores,
             e.individual_scores(&queries).unwrap()
         );
+        // Zero cache bytes means "no cache", exactly like `uncached`.
+        assert!(CepsServiceBuilder::new()
+            .cache_bytes(0)
+            .build(engine())
+            .cache_stats()
+            .is_none());
     }
 
     #[test]
@@ -886,7 +728,7 @@ mod tests {
         let stream: Vec<Vec<NodeId>> = (0..12)
             .map(|i| vec![NodeId(i % 15), NodeId((i + 5) % 15)])
             .collect();
-        let out = service.serve_stream(&stream, 3).unwrap();
+        let out = service.serve_stream(&stream, 3, None).unwrap();
         assert_eq!(out.completed, 12);
         assert_eq!(out.workers, 3);
         assert_eq!(out.latencies_ms.len(), 12);
@@ -903,7 +745,7 @@ mod tests {
             .cache_bytes(1 << 20)
             .build(engine());
         let stream: Vec<Vec<NodeId>> = (0..6).map(|i| vec![NodeId(i), NodeId(i + 7)]).collect();
-        let out = service.serve_stream(&stream, 2).unwrap();
+        let out = service.serve_stream(&stream, 2, None).unwrap();
         assert!(out.stages.scores_ms > 0.0, "Step 1 took measurable time");
         assert!(out.stages.combine_ms >= 0.0 && out.stages.extract_ms >= 0.0);
         let mean = out.mean_stage_ms();
@@ -983,9 +825,7 @@ mod tests {
             .collect();
         let buf = crate::telemetry::tests::SharedBuf::default();
         let tracer = RequestTracer::new(Box::new(buf.clone()), 1.0);
-        let out = service
-            .serve_stream_traced(&stream, 2, Some(&tracer))
-            .unwrap();
+        let out = service.serve_stream(&stream, 2, Some(&tracer)).unwrap();
         assert_eq!(out.completed, 8);
         assert_eq!(tracer.written(), 8, "rate 1.0 keeps every request");
         let lines = buf.lines();
@@ -1025,7 +865,7 @@ mod tests {
         ];
         let buf = crate::telemetry::tests::SharedBuf::default();
         let tracer = RequestTracer::new(Box::new(buf.clone()), 1.0);
-        let err = service.serve_stream_traced(&stream, 1, Some(&tracer));
+        let err = service.serve_stream(&stream, 1, Some(&tracer));
         assert!(err.is_err(), "bad node surfaces as stream error");
         let lines = buf.lines();
         assert_eq!(lines.len(), 3, "errored requests are traced too");
@@ -1036,22 +876,20 @@ mod tests {
     }
 
     #[test]
-    fn run_instrumented_matches_run_timed_and_counts_cache() {
+    fn run_counts_this_requests_cache_lookups() {
         let service = CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
             .build(engine());
         let queries = [NodeId(2), NodeId(9)];
-        let (cold, m_cold) = service.run_instrumented(&queries).unwrap();
+        let (cold, m_cold) = service.run(&queries).unwrap();
         assert_eq!((m_cold.cache_hits, m_cold.cache_misses), (0, 2));
-        let (warm, m_warm) = service.run_instrumented(&queries).unwrap();
+        let (warm, m_warm) = service.run(&queries).unwrap();
         assert_eq!((m_warm.cache_hits, m_warm.cache_misses), (2, 0));
         assert_eq!(cold.scores, warm.scores);
-        let (timed, stages) = service.run_timed(&queries).unwrap();
-        assert_eq!(timed.scores, cold.scores);
-        assert!(stages.scores_ms >= 0.0);
+        assert!(m_warm.stages.scores_ms >= 0.0);
         // Uncached service reports 0/0, not a phantom miss count.
         let uncached = CepsServiceBuilder::new().uncached().build(engine());
-        let (_, m) = uncached.run_instrumented(&queries).unwrap();
+        let (_, m) = uncached.run(&queries).unwrap();
         assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
     }
 
@@ -1061,7 +899,7 @@ mod tests {
             .cache_bytes(1 << 20)
             .build(engine());
         let stream = vec![vec![NodeId(0)], vec![NodeId(999)], vec![NodeId(1)]];
-        assert!(service.serve_stream(&stream, 2).is_err());
+        assert!(service.serve_stream(&stream, 2, None).is_err());
     }
 
     #[test]
@@ -1074,60 +912,14 @@ mod tests {
             .shards(2)
             .build(e.clone());
         let stream: Vec<Vec<NodeId>> = (0..20).map(|i| vec![NodeId(i % 15)]).collect();
-        let out = service.serve_stream(&stream, 4).unwrap();
+        let out = service.serve_stream(&stream, 4, None).unwrap();
         assert_eq!(out.completed, 20);
         for queries in &stream {
             assert_eq!(
-                service.individual_scores(queries).unwrap(),
+                service.run(queries).unwrap().0.scores,
                 e.individual_scores(queries).unwrap()
             );
         }
-    }
-
-    /// The deprecated constructor trio must stay behaviourally identical
-    /// to the builder it now delegates to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_builder() {
-        let e = engine();
-        let queries = [NodeId(1), NodeId(6)];
-
-        let old = CepsService::new(e.clone(), 1 << 20);
-        let new = CepsServiceBuilder::new()
-            .cache_bytes(1 << 20)
-            .build(e.clone());
-        assert_eq!(
-            old.run(&queries).unwrap().scores,
-            new.run(&queries).unwrap().scores
-        );
-        assert_eq!(old.cache_stats(), new.cache_stats());
-        assert_eq!(old.workers(), new.workers());
-
-        let old = CepsService::with_shards(e.clone(), 4096, 2);
-        let new = CepsServiceBuilder::new()
-            .cache_bytes(4096)
-            .shards(2)
-            .build(e.clone());
-        assert_eq!(
-            old.run(&queries).unwrap().scores,
-            new.run(&queries).unwrap().scores
-        );
-        assert_eq!(old.cache_stats(), new.cache_stats());
-
-        let old = CepsService::uncached(e.clone());
-        let new = CepsServiceBuilder::new().uncached().build(e);
-        assert!(old.cache_stats().is_none() && new.cache_stats().is_none());
-        assert_eq!(
-            old.run(&queries).unwrap().scores,
-            new.run(&queries).unwrap().scores
-        );
-
-        // Zero cache bytes now means "no cache", matching `uncached`.
-        assert!(CepsServiceBuilder::new()
-            .cache_bytes(0)
-            .build(engine())
-            .cache_stats()
-            .is_none());
     }
 
     #[test]
@@ -1150,7 +942,7 @@ mod tests {
         by_degree.sort_by(|a, b| g.degree(*b).total_cmp(&g.degree(*a)).then(a.0.cmp(&b.0)));
         let before = service.cache_stats().unwrap();
         for &hub in &by_degree[..3] {
-            service.individual_scores(&[hub]).unwrap();
+            service.run(&[hub]).unwrap();
         }
         let after = service.cache_stats().unwrap();
         assert_eq!(
@@ -1161,7 +953,7 @@ mod tests {
         assert_eq!(after.misses, before.misses, "no cold solves after warming");
         // Warmed rows are bitwise-identical to demand-solved ones.
         assert_eq!(
-            service.individual_scores(&by_degree[..3]).unwrap(),
+            service.run(&by_degree[..3]).unwrap().0.scores,
             e.individual_scores(&by_degree[..3]).unwrap()
         );
     }
@@ -1188,50 +980,16 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_service_serves_bitwise_identical_replies() {
-        let e = engine();
-        let plain = CepsServiceBuilder::new()
-            .cache_bytes(1 << 20)
-            .build(e.clone());
-        let coalesced = CepsServiceBuilder::new()
-            .cache_bytes(1 << 20)
-            .coalesce(CoalesceConfig {
-                window_us: 300,
-                max_batch: 8,
-            })
-            .build(e);
-        let stream: Vec<Vec<NodeId>> = (0..10)
-            .map(|i| vec![NodeId(i % 15), NodeId((i + 6) % 15)])
-            .collect();
-        coalesced.serve_stream(&stream, 3).unwrap();
-        for queries in &stream {
-            assert_eq!(
-                coalesced
-                    .serve(&ServeRequest::new(queries.clone()))
-                    .unwrap(),
-                plain.serve(&ServeRequest::new(queries.clone())).unwrap()
-            );
-        }
-        let health = coalesced.serve_health();
-        assert!(
-            health.coalesce_batches > 0,
-            "enabled window must have drained batches"
-        );
-        assert!(health.coalesce_rows >= health.coalesced);
-        // The plain service's window is off: zero coalesce activity.
-        assert_eq!(plain.serve_health().coalesce_batches, 0);
-        assert_eq!(plain.coalesce_stats(), CoalesceStats::default());
-    }
-
-    #[test]
-    fn serve_projects_run_deterministically() {
+    fn reply_projection_is_deterministic() {
         let service = CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
             .build(engine());
         let request = ServeRequest::new(vec![NodeId(1), NodeId(6)]);
-        let reply = service.serve(&request).unwrap();
-        let direct = service.run(&request.queries).unwrap();
-        assert_eq!(reply, ServeReply::from_result(&direct, &request.queries));
+        let serve = || {
+            let (result, _) = service.run(&request.queries).unwrap();
+            ServeReply::from_result(&result, &request.queries)
+        };
+        let reply = serve();
         assert!(reply.members.windows(2).all(|w| w[0].score >= w[1].score));
         assert_eq!(
             reply.members.iter().filter(|m| m.is_query).count(),
@@ -1239,8 +997,7 @@ mod tests {
             "query nodes are flagged"
         );
         // Warm cache, same request: byte-identical reply.
-        let again = service.serve(&request).unwrap();
-        assert_eq!(reply, again);
+        assert_eq!(reply, serve());
     }
 
     #[test]
@@ -1253,7 +1010,8 @@ mod tests {
         let request2: ServeRequest = serde_json::from_str(&req_json).unwrap();
         assert_eq!(request, request2);
 
-        let reply = service.serve(&request).unwrap();
+        let (result, _) = service.run(&request.queries).unwrap();
+        let reply = ServeReply::from_result(&result, &request.queries);
         let json = serde_json::to_string(&reply).unwrap();
         let reply2: ServeReply = serde_json::from_str(&json).unwrap();
         // PartialEq on f64 fields: bitwise equality of every score must

@@ -1,6 +1,6 @@
-//! Per-request trace emission for [`CepsService::serve_stream`]
-//! (`ceps-trace/v1` JSONL — the schema is documented with the other
-//! schemas in `ceps_obs::snapshot`).
+//! Per-request trace emission for [`CepsService::serve_stream`] and the
+//! `ceps-net` server (`ceps-trace/v1` JSONL — the schema is documented
+//! with the other schemas in `ceps_obs::snapshot`).
 //!
 //! A [`RequestTracer`] decides per request whether to keep a trace line,
 //! combining two policies:
@@ -28,7 +28,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::pipeline::StageTimes;
+use crate::pipeline::{CepsResult, StageTimes};
+use crate::serve::RequestMetrics;
+use crate::Result;
 
 /// Observations the tail-sampler's histogram needs before its p99 estimate
 /// is trusted; below this every request is head-sampled only.
@@ -36,7 +38,7 @@ pub const TAIL_WARMUP: u64 = 32;
 
 /// Everything recorded about one served request — the payload of a
 /// `ceps-trace/v1` line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RequestTrace {
     /// Stream index of the request (deterministic across runs).
     pub request_id: u64,
@@ -66,6 +68,29 @@ pub struct RequestTrace {
     /// request was served (rendered as 16-char hex in the JSON line);
     /// `None` outside a traced scope.
     pub trace_id: Option<u64>,
+}
+
+impl RequestTrace {
+    /// The outcome-derived part of a trace: stage times, this request's
+    /// cache hits/misses and path count on success; zeroed stages and the
+    /// error message on failure. Identity, timing and budget fields are
+    /// left at their defaults for the caller to fill in with struct-update
+    /// syntax.
+    pub fn from_outcome(outcome: &Result<(CepsResult, RequestMetrics)>) -> Self {
+        match outcome {
+            Ok((result, metrics)) => Self {
+                stages: metrics.stages,
+                cache_hits: metrics.cache_hits,
+                cache_misses: metrics.cache_misses,
+                paths: result.paths.len(),
+                ..Self::default()
+            },
+            Err(e) => Self {
+                error: Some(e.to_string()),
+                ..Self::default()
+            },
+        }
+    }
 }
 
 /// Why a trace line was kept.
@@ -198,14 +223,9 @@ impl RequestTracer {
 
 /// Serializes one kept request as a single-line `ceps-trace/v1` object.
 pub fn trace_json(trace: &RequestTrace, kind: SampleKind) -> String {
+    use ceps_obs::json_f64 as num;
+
     let mut out = String::with_capacity(256);
-    let num = |v: f64| {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "0".to_string()
-        }
-    };
     let _ = write!(
         out,
         "{{\"schema\": \"ceps-trace/v1\", \"request_id\": {}, \"worker\": {}, \
@@ -228,33 +248,12 @@ pub fn trace_json(trace: &RequestTrace, kind: SampleKind) -> String {
         if trace.error.is_none() { "ok" } else { "error" },
     );
     if let Some(msg) = &trace.error {
-        let _ = write!(out, ", \"error\": {}", json_escape(msg));
+        let _ = write!(out, ", \"error\": {}", ceps_obs::json_str(msg));
     }
     if let Some(id) = trace.trace_id {
         let _ = write!(out, ", \"trace_id\": \"{}\"", ceps_obs::id_hex(id));
     }
     out.push('}');
-    out
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -1,10 +1,10 @@
 //! Property tests for ceps-core: EXTRACT, the pipeline contract under both
 //! score methods, the auto-k inference bounds, and reply identity under
-//! concurrent coalesced serving.
+//! concurrent cached serving.
 
 use ceps_core::{
-    infer_soft_and_k, CepsConfig, CepsEngine, CepsServiceBuilder, CoalesceConfig, QueryType,
-    ServeReply, ServeRequest,
+    infer_soft_and_k, CepsConfig, CepsEngine, CepsServiceBuilder, QueryType, ServeReply,
+    ServeRequest,
 };
 use ceps_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -114,23 +114,21 @@ proptest! {
         }
     }
 
-    /// The acceptance-criteria identity: serving through the **coalesced +
-    /// single-flight + warmed** path, across concurrent workers, window
-    /// sizes and repeat rates, returns replies **bitwise-identical** to
+    /// The acceptance-criteria identity: serving through the **cached +
+    /// single-flight + warmed** path, across concurrent workers, warm
+    /// budgets and repeat rates, returns replies **bitwise-identical** to
     /// sequential per-request runs on the bare engine. `pool` controls the
     /// repeat rate (small pool → nearly every request repeats the same few
-    /// nodes, the coalescing/single-flight hot case; large pool → mostly
-    /// distinct traffic).
+    /// nodes, the single-flight hot case; large pool → mostly distinct
+    /// traffic).
     #[test]
-    fn coalesced_singleflight_warmed_replies_match_sequential_serve(
+    fn singleflight_warmed_replies_match_sequential_serve(
         g in arb_graph(),
         plan in proptest::collection::vec(proptest::collection::vec(0usize..24, 1..4), 4..10),
         workers in 1usize..5,
-        window_pick in 0usize..3,
         pool in 1usize..25,
         warm_pct in 0usize..101,
     ) {
-        let window_us = [0u64, 200, 4_000][window_pick];
         let requests: Vec<ServeRequest> = plan
             .iter()
             .map(|picks| {
@@ -154,7 +152,6 @@ proptest! {
 
         let service = CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
-            .coalesce(CoalesceConfig { window_us, max_batch: 8 })
             .workers(workers)
             .build(engine);
         service.warm((1usize << 20) * warm_pct / 100).unwrap();
@@ -169,7 +166,9 @@ proptest! {
                 s.spawn(move || loop {
                     let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     let Some(req) = requests.get(i) else { break };
-                    **slots[i].lock().unwrap() = Some(service.serve(req).unwrap());
+                    let (result, _) = service.run(&req.queries).unwrap();
+                    **slots[i].lock().unwrap() =
+                        Some(ServeReply::from_result(&result, &req.queries));
                 });
             }
         });
@@ -177,8 +176,8 @@ proptest! {
             prop_assert_eq!(
                 reply.unwrap(),
                 expected[i].clone(),
-                "request {} diverged (workers={}, window_us={}, pool={})",
-                i, workers, window_us, pool
+                "request {} diverged (workers={}, pool={}, warm_pct={})",
+                i, workers, pool, warm_pct
             );
         }
     }

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use ceps_core::ServeRequest;
 use ceps_net::{CepsClient, Reply, WireErrorKind};
+use ceps_obs::json_f64 as num;
 
 use crate::schedule::{arrival_schedule, ArrivalKind, MixKind, QueryMix, DEFAULT_HOT_POOL};
 
@@ -45,8 +46,8 @@ pub struct LoadConfig {
     /// exercise the server's reply cache.
     pub repeat: f64,
     /// How fresh queries pick nodes: uniform over the space, or
-    /// hub-skewed over a seeded hot pool (the traffic shape miss
-    /// coalescing and cache warming target).
+    /// hub-skewed over a seeded hot pool (the traffic shape the row
+    /// cache, single-flight and cache warming target).
     pub mix: MixKind,
     /// Hot-pool width for [`MixKind::Hubs`]; ignored under uniform.
     pub pool_size: usize,
@@ -120,7 +121,7 @@ pub struct PhaseReport {
 impl PhaseReport {
     fn from_samples(samples: &[Sample]) -> PhaseReport {
         let mut lat: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        lat.sort_by(f64::total_cmp);
         // The log₂ histogram mirrors what the obs registry would hold;
         // its mean is exact (sum/count), the percentiles come from the
         // sorted samples so SLO checks are not quantised to powers of 2.
@@ -128,13 +129,7 @@ impl PhaseReport {
         for s in samples {
             hist.record(s.latency_ms);
         }
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-            lat[rank.clamp(1, lat.len()) - 1]
-        };
+        let pct = |p: f64| ceps_obs::nearest_rank(&lat, p);
         PhaseReport {
             count: samples.len() as u64,
             ok: samples.iter().filter(|s| s.outcome == Outcome::Ok).count() as u64,
@@ -186,14 +181,6 @@ pub struct LoadReport {
     pub warmup: PhaseReport,
     /// Measurement-phase summary.
     pub measure: PhaseReport,
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 fn phase_json(p: &PhaseReport) -> String {

@@ -110,7 +110,7 @@ pub fn arrival_schedule(kind: ArrivalKind, rps: f64, duration_s: f64, seed: u64)
 /// seeded hot pool of `pool_size` ids sampled with Zipf-like rank weights
 /// (`1/(1+rank)`), concentrating most node draws on a handful of ids the
 /// way real repository queries concentrate on community hubs. That is
-/// exactly the shape cache warming and miss coalescing target.
+/// exactly the shape cache warming and single-flight misses target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixKind {
     /// Every fresh node id uniform over `0..node_space`.

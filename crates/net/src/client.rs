@@ -240,7 +240,8 @@ impl CepsClient {
 
     /// Runs one query set round-trip; the reply is byte-identical (same
     /// struct, same serialization) to the in-process
-    /// [`CepsService::serve`](ceps_core::CepsService::serve) result.
+    /// [`CepsService::run`](ceps_core::CepsService::run) result projected
+    /// with [`ServeReply::from_result`].
     ///
     /// # Errors
     /// Transport failures, or [`NetError::Remote`] with the server's

@@ -42,9 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ceps_core::{
-    infer_soft_and_k, CepsService, RequestTrace, RequestTracer, ServeReply, StageTimes,
-};
+use ceps_core::{infer_soft_and_k, CepsService, RequestTrace, RequestTracer, ServeReply};
 use ceps_obs::{counter, flight_note, record, FlightKind, TraceContext};
 
 use crate::transport::{Conn, Transport};
@@ -219,12 +217,6 @@ pub struct ServerStats {
     /// of duplicating it (single-flight).
     #[serde(default)]
     pub singleflight_waits: u64,
-    /// Coalescing windows drained (one batched solve each).
-    #[serde(default)]
-    pub coalesce_batches: u64,
-    /// Rows that rode a coalescing batch issued by another request.
-    #[serde(default)]
-    pub coalesced: u64,
 }
 
 #[derive(Debug, Default)]
@@ -350,7 +342,7 @@ impl CepsServer {
     fn note_latency(&self, latency_ms: f64) -> f64 {
         let mut ring = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
         let p99 = if ceps_obs::flight_enabled() && ring.len() >= 32 {
-            percentile_sorted(&mut ring.iter().copied().collect::<Vec<_>>(), 99.0)
+            ceps_obs::nearest_rank(&sorted(&ring), 99.0)
         } else {
             0.0
         };
@@ -363,12 +355,11 @@ impl CepsServer {
 
     /// Windowed latency percentiles over the retained ring.
     fn latency_percentiles(&self) -> (f64, f64, f64) {
-        let ring = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sorted: Vec<f64> = ring.iter().copied().collect();
+        let window = sorted(&self.latencies.lock().unwrap_or_else(|e| e.into_inner()));
         (
-            percentile_sorted(&mut sorted, 50.0),
-            percentile_sorted(&mut sorted, 90.0),
-            percentile_sorted(&mut sorted, 99.0),
+            ceps_obs::nearest_rank(&window, 50.0),
+            ceps_obs::nearest_rank(&window, 90.0),
+            ceps_obs::nearest_rank(&window, 99.0),
         )
     }
 
@@ -385,11 +376,10 @@ impl CepsServer {
 
     /// Windowed queue-delay percentiles over the retained ring.
     fn queue_percentiles(&self) -> (f64, f64) {
-        let ring = self.queue_delays.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sorted: Vec<f64> = ring.iter().copied().collect();
+        let window = sorted(&self.queue_delays.lock().unwrap_or_else(|e| e.into_inner()));
         (
-            percentile_sorted(&mut sorted, 50.0),
-            percentile_sorted(&mut sorted, 99.0),
+            ceps_obs::nearest_rank(&window, 50.0),
+            ceps_obs::nearest_rank(&window, 99.0),
         )
     }
 
@@ -442,8 +432,6 @@ impl CepsServer {
             cache_rows: health.cache_rows as u64,
             warm_rows: health.warm_rows,
             singleflight_waits: health.singleflight_waits,
-            coalesce_batches: health.coalesce_batches,
-            coalesced: health.coalesced,
         }
     }
 
@@ -619,7 +607,7 @@ impl CepsServer {
                 let start = Instant::now();
                 let queue_ms = start.duration_since(decoded).as_secs_f64() * 1e3;
                 self.note_queue_delay(queue_ms);
-                let outcome = self.service.run_instrumented(&req.queries);
+                let outcome = self.service.run(&req.queries);
                 let latency_ms = start.elapsed().as_secs_f64() * 1e3;
                 record("net.query_ms", latency_ms);
                 // Every completed query leaves a mark in the ring (value:
@@ -640,51 +628,27 @@ impl CepsServer {
                         (latency_ms * 1e3) as u64,
                     );
                 }
+                if let Some(tracer) = &self.tracer {
+                    tracer.record(&RequestTrace {
+                        request_id: id,
+                        worker,
+                        queries: req.queries.len(),
+                        latency_ms,
+                        queue_ms,
+                        budget: self.service.engine().config().budget,
+                        trace_id: Some(ctx.trace_id),
+                        ..RequestTrace::from_outcome(&outcome)
+                    });
+                }
                 let reply = match outcome {
-                    Ok((result, metrics)) => {
-                        if let Some(tracer) = &self.tracer {
-                            tracer.record(&RequestTrace {
-                                request_id: id,
-                                worker,
-                                queries: req.queries.len(),
-                                latency_ms,
-                                queue_ms,
-                                stages: metrics.stages,
-                                cache_hits: metrics.cache_hits,
-                                cache_misses: metrics.cache_misses,
-                                budget: self.service.engine().config().budget,
-                                paths: result.paths.len(),
-                                error: None,
-                                trace_id: Some(ctx.trace_id),
-                            });
-                        }
-                        Reply::Scores {
-                            id,
-                            reply: ServeReply::from_result(&result, &req.queries),
-                        }
-                    }
-                    Err(e) => {
-                        if let Some(tracer) = &self.tracer {
-                            tracer.record(&RequestTrace {
-                                request_id: id,
-                                worker,
-                                queries: req.queries.len(),
-                                latency_ms,
-                                queue_ms,
-                                stages: StageTimes::default(),
-                                cache_hits: 0,
-                                cache_misses: 0,
-                                budget: self.service.engine().config().budget,
-                                paths: 0,
-                                error: Some(e.to_string()),
-                                trace_id: Some(ctx.trace_id),
-                            });
-                        }
-                        Reply::Error {
-                            id,
-                            error: WireError::new(WireErrorKind::BadRequest, e.to_string()),
-                        }
-                    }
+                    Ok((result, _)) => Reply::Scores {
+                        id,
+                        reply: ServeReply::from_result(&result, &req.queries),
+                    },
+                    Err(e) => Reply::Error {
+                        id,
+                        error: WireError::new(WireErrorKind::BadRequest, e.to_string()),
+                    },
                 };
                 (reply, false)
             }
@@ -740,15 +704,12 @@ impl CepsServer {
     }
 }
 
-/// Nearest-rank percentile over a scratch buffer (sorted in place);
-/// 0 when empty.
-fn percentile_sorted(values: &mut [f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize;
-    values[rank.min(values.len()) - 1]
+/// An ascending copy of a latency window, ready for
+/// [`ceps_obs::nearest_rank`].
+fn sorted(window: &VecDeque<f64>) -> Vec<f64> {
+    let mut values: Vec<f64> = window.iter().copied().collect();
+    values.sort_by(f64::total_cmp);
+    values
 }
 
 #[cfg(test)]
@@ -888,13 +849,16 @@ mod tests {
 
     #[test]
     fn percentile_sorted_uses_nearest_rank() {
-        assert_eq!(percentile_sorted(&mut [], 99.0), 0.0);
-        let mut one = vec![5.0];
-        assert_eq!(percentile_sorted(&mut one, 50.0), 5.0);
-        let mut v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile_sorted(&mut v, 50.0), 50.0);
-        assert_eq!(percentile_sorted(&mut v, 99.0), 99.0);
-        assert_eq!(percentile_sorted(&mut v, 100.0), 100.0);
+        assert_eq!(ceps_obs::nearest_rank(&sorted(&VecDeque::new()), 99.0), 0.0);
+        assert_eq!(ceps_obs::nearest_rank(&sorted(&[5.0].into()), 50.0), 5.0);
+        // The window arrives in completion order; `sorted` restores rank order.
+        let window: VecDeque<f64> = (1..=100).rev().map(f64::from).collect();
+        let v = sorted(&window);
+        assert_eq!(ceps_obs::nearest_rank(&v, 50.0), 50.0);
+        assert_eq!(ceps_obs::nearest_rank(&v, 99.0), 99.0);
+        assert_eq!(ceps_obs::nearest_rank(&v, 100.0), 100.0);
+        assert_eq!(ceps_obs::nearest_rank(&v, 0.0), 1.0, "p=0 is the minimum");
+        assert_eq!(ceps_obs::nearest_rank(&v, f64::NAN), 100.0);
     }
 
     #[test]
@@ -1057,27 +1021,9 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_warmed_server_matches_plain_and_reports_health() {
-        use ceps_core::CoalesceConfig;
-
-        let build = |coalesce: bool| {
-            let mut b = GraphBuilder::new();
-            for (x, y) in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)] {
-                b.add_edge(NodeId(x), NodeId(y), 1.0).unwrap();
-            }
-            let mut builder = CepsServiceBuilder::new().cache_bytes(1 << 20).workers(3);
-            if coalesce {
-                builder = builder.coalesce(CoalesceConfig {
-                    window_us: 2_000,
-                    max_batch: 8,
-                });
-            }
-            builder
-                .build_from_graph(b.build().unwrap(), CepsConfig::default().budget(3))
-                .unwrap()
-        };
-        let plain = build(false);
-        let service = build(true);
+    fn warmed_server_matches_plain_and_reports_health() {
+        let plain = test_service();
+        let service = test_service();
         service.warm(usize::MAX).unwrap();
         let warm_rows = service.serve_health().warm_rows;
         assert!(warm_rows > 0, "warming must pre-solve rows");
@@ -1090,8 +1036,8 @@ mod tests {
         let drained = std::thread::scope(|s| {
             let server = &server;
             let handle = s.spawn(move || server.serve(&mut transport).unwrap());
-            // Three concurrent connections hammer overlapping queries so
-            // single-flight and the coalescing window see real contention.
+            // Concurrent connections hammer overlapping queries so the
+            // shared cache and single-flight see real contention.
             let conns: Vec<_> = (0..3)
                 .map(|_| {
                     let connector = connector.clone();
@@ -1110,10 +1056,11 @@ mod tests {
                 conns.into_iter().map(|h| h.join().unwrap()).collect();
             for per_conn in &replies {
                 for (req, reply) in requests.iter().zip(per_conn) {
+                    let (result, _) = plain.run(&req.queries).unwrap();
                     assert_eq!(
                         reply,
-                        &plain.serve(req).unwrap(),
-                        "coalesced reply diverged"
+                        &ServeReply::from_result(&result, &req.queries),
+                        "warmed reply diverged"
                     );
                 }
             }
@@ -1124,12 +1071,10 @@ mod tests {
         assert_eq!(drained.warm_rows, warm_rows);
         assert!(drained.cache_fill > 0.0 && drained.cache_fill <= 1.0);
         assert!(drained.cache_rows > 0);
-        // Warmed cache: every wire query hits; no misses, so the window
-        // never even needs to drain for correctness to hold. The health
-        // fields still surface the (possibly zero) coalesce counters.
+        // Warmed cache: every wire query hits; only the warm pre-solves
+        // missed.
         let cache = drained.cache.expect("cached service");
         assert_eq!(cache.misses, 6, "only the warm pre-solves missed");
-        assert!(drained.coalesce_batches <= drained.queries);
     }
 
     #[test]

@@ -307,7 +307,8 @@ proptest! {
                     .map(|&(node, extra)| {
                         let queries: Vec<NodeId> =
                             (0..extra).map(|j| NodeId((node + j as u32) % 6)).collect();
-                        reference.serve(&ServeRequest::new(queries)).unwrap()
+                        let (result, _) = reference.run(&queries).unwrap();
+                        ServeReply::from_result(&result, &queries)
                     })
                     .collect()
             })

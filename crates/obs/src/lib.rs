@@ -69,8 +69,8 @@ pub use registry::{
     counter, enabled, gauge_add, gauge_set, install_recorder, record, reset, snapshot, span, timed,
     uninstall_recorder, Span,
 };
-pub use snapshot::{BucketExemplar, HistogramStat, MetricsSnapshot, SpanStat};
+pub use snapshot::{json_f64, json_str, BucketExemplar, HistogramStat, MetricsSnapshot, SpanStat};
 pub use window::{
-    metrics_event_json, to_prometheus, CounterRate, ExporterConfig, Histogram, HistogramWindow,
-    MetricsExporter, WindowDelta, WindowedMetrics,
+    metrics_event_json, nearest_rank, to_prometheus, CounterRate, ExporterConfig, Histogram,
+    HistogramWindow, MetricsExporter, WindowDelta, WindowedMetrics,
 };

@@ -40,23 +40,19 @@
 //!
 //! ## Serving-cache counter inventory
 //!
-//! The coalescing/single-flight/warming layer in `ceps-rwr` and
-//! `ceps-core::serve` emits, through these generic primitives (Prometheus
-//! names are the dotted names under the `ceps_` prefix with `.` → `_`):
+//! The single-flight/warming layer in `ceps-rwr` and `ceps-core::serve`
+//! emits, through these generic primitives (Prometheus names are the
+//! dotted names under the `ceps_` prefix with `.` → `_`):
 //!
 //! | name | kind | meaning |
 //! |---|---|---|
 //! | `serve.singleflight_total` | counter | misses that joined another request's in-flight solve instead of solving |
 //! | `serve.singleflight_wait_ms` | histogram | wall time a joiner spent blocked on the flight lead |
-//! | `serve.coalesced_total` | counter | rows solved inside another request's coalesced batch (foreign rows only) |
-//! | `serve.coalesce.batches` | counter | coalescing windows drained (one wide solve each) |
-//! | `serve.coalesce.rows` | counter | total rows across all drained windows (own + foreign) |
 //! | `serve.warm.rows` | counter | rows pre-solved by `CepsService::warm` |
 //! | `serve.warm.bytes` | counter | cache bytes filled by warming |
 //!
-//! The CI coalescing smoke asserts `ceps_serve_coalesced_total > 0` and
-//! `ceps_serve_warm_rows > 0` in the exported `.prom` under concurrent
-//! hub-skewed traffic.
+//! The CI warming smoke asserts `ceps_serve_warm_rows > 0` in the
+//! exported `.prom` under concurrent hub-skewed traffic.
 //!
 //! # JSONL schema (`ceps-metrics/v1`)
 //!
@@ -417,8 +413,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Escapes a string as a JSON string literal (quotes included).
-pub(crate) fn json_str(s: &str) -> String {
+/// Escapes a string as a JSON string literal (quotes included) — the one
+/// JSON string emitter behind every hand-rolled `ceps-*` schema.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -440,7 +437,7 @@ pub(crate) fn json_str(s: &str) -> String {
 
 /// Formats an `f64` so it is always a valid JSON number (non-finite values
 /// collapse to 0).
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -165,6 +165,30 @@ pub(crate) fn estimate_percentile(
     hi
 }
 
+/// Exact nearest-rank percentile over `sorted` (ascending): the value at
+/// rank `⌈p/100 · n⌉`, 0 when `sorted` is empty. `p` is clamped into
+/// `[0, 100]` — `p <= 0` returns the minimum, `p >= 100` and non-finite
+/// `p` the maximum — so the result is never `NaN` and never indexes out
+/// of bounds.
+///
+/// The one exact-sample percentile of the workspace: stream replay
+/// outcomes, the load generator's phase reports and the wire server's
+/// windowed `Stats` all select through it; the log₂ estimator behind
+/// [`Histogram::percentile_from_buckets`] is its bucketed counterpart.
+pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let p = if p.is_finite() {
+        p.clamp(0.0, 100.0)
+    } else {
+        100.0
+    };
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
 /// One timestamped snapshot inside a [`WindowedMetrics`] ring.
 #[derive(Debug, Clone)]
 struct WindowEntry {

@@ -18,7 +18,7 @@
 //! length disagrees with the caller's expected node count miss instead of
 //! returning a stale-shaped row.
 //!
-//! [`scores_with_cache`] is the assembly loop `individual_scores` uses: probe
+//! [`scores_with_cache`] is the assembly loop the serving path uses: probe
 //! the cache for every query, batch **only the missing nodes** through one
 //! backend solve, insert the fresh rows, and stitch the [`ScoreMatrix`]
 //! together in the caller's query order. Rows are `Arc`-shared between the
@@ -33,7 +33,6 @@ use std::time::Instant;
 use ceps_graph::NodeId;
 
 use crate::backend::ScoreBackend;
-use crate::coalesce::Coalescer;
 use crate::{Result, RwrError, ScoreMatrix};
 
 /// Fixed per-row bookkeeping charge (map entry, `Arc` header, tick) added to
@@ -92,7 +91,7 @@ pub fn row_cost_bytes(len: usize) -> usize {
 /// the slot) runs the backend solve and publishes the `Arc`'d row; every
 /// waiter blocks on the condvar and receives that same row without solving.
 #[derive(Debug)]
-pub(crate) struct FlightSlot {
+struct FlightSlot {
     state: Mutex<FlightState>,
     cv: Condvar,
 }
@@ -163,26 +162,20 @@ impl FlightSlot {
 /// so waiters fall back to their own solve instead of hanging (the
 /// panic-safety path).
 #[derive(Debug)]
-pub(crate) struct FlightLead {
+struct FlightLead {
     node: NodeId,
     slot: Arc<FlightSlot>,
     published: bool,
 }
 
 impl FlightLead {
-    pub(crate) fn node(&self) -> NodeId {
+    fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// A waitable handle on this flight (what the lead's own request blocks
-    /// on when the solve is delegated to a coalescing window leader).
-    pub(crate) fn slot(&self) -> Arc<FlightSlot> {
-        Arc::clone(&self.slot)
     }
 
     /// Inserts the row into `cache`, wakes every waiter with the shared
     /// `Arc`, and retires the in-flight entry.
-    pub(crate) fn publish(mut self, cache: &RwrRowCache, row: Arc<Vec<f64>>) {
+    fn publish(mut self, cache: &RwrRowCache, row: Arc<Vec<f64>>) {
         cache.insert(self.node, Arc::clone(&row));
         self.slot.publish(row);
         cache.remove_flight(self.node, &self.slot);
@@ -202,7 +195,7 @@ impl Drop for FlightLead {
 
 /// Outcome of [`RwrRowCache::join_or_lead`].
 #[derive(Debug)]
-pub(crate) enum Flight {
+enum Flight {
     /// This request owns the solve for the node.
     Lead(FlightLead),
     /// Another request is already solving it; block on the slot.
@@ -299,7 +292,7 @@ impl RwrRowCache {
     /// miss becomes the [`Flight::Lead`] and must publish (or drop, =fail)
     /// the slot; later requests get [`Flight::Wait`]. Entries left behind by
     /// failed leads are replaced here rather than waited on.
-    pub(crate) fn join_or_lead(&self, node: NodeId) -> Flight {
+    fn join_or_lead(&self, node: NodeId) -> Flight {
         let mut flights = self.flight_shard(node).lock().unwrap();
         if let Some(slot) = flights.get(&node.0) {
             if !slot.is_failed() {
@@ -330,7 +323,7 @@ impl RwrRowCache {
     /// Counts a single-flight wait — and charges the blocked time to the
     /// serving-layer `serve.singleflight_wait_ms` histogram — only when the
     /// slot was genuinely still pending on arrival.
-    pub(crate) fn wait_flight(&self, slot: &FlightSlot) -> Option<Arc<Vec<f64>>> {
+    fn wait_flight(&self, slot: &FlightSlot) -> Option<Arc<Vec<f64>>> {
         if let Some(resolved) = slot.try_get() {
             return resolved;
         }
@@ -348,7 +341,7 @@ impl RwrRowCache {
     /// Looks up the row for `node` without touching the hit/miss counters
     /// or the LRU clock — bookkeeping-free re-checks on the single-flight
     /// path, where the probe already counted.
-    pub(crate) fn peek(&self, node: NodeId, expected_len: usize) -> Option<Arc<Vec<f64>>> {
+    fn peek(&self, node: NodeId, expected_len: usize) -> Option<Arc<Vec<f64>>> {
         let shard = self.shard(node).lock().unwrap();
         shard
             .rows
@@ -479,28 +472,13 @@ impl RwrRowCache {
     }
 }
 
-/// Solves `queries` against `backend`, serving rows from `cache` where
-/// possible and batching **only the missing nodes** through one backend call.
+/// Per-call cache outcome from [`scores_with_cache`]: how many of one
+/// request's **distinct** query nodes were served from the cache and how
+/// many had to be solved. Duplicated query nodes count once.
 ///
-/// The returned matrix is row-for-row bitwise identical to
-/// `backend.scores(queries)` run cold: hits were produced by the same
-/// batch-independent backend earlier, and misses are produced by it now.
-/// Duplicate query nodes are solved once and the row is reused.
-///
-/// # Errors
-/// [`RwrError::NoQueries`] on an empty slice, plus whatever the backend
-/// solve over the missing nodes returns.
-pub fn scores_with_cache(
-    backend: &dyn ScoreBackend,
-    cache: &RwrRowCache,
-    queries: &[NodeId],
-) -> Result<ScoreMatrix> {
-    scores_with_cache_counted(backend, cache, queries).map(|(m, _)| m)
-}
-
-/// Per-call cache outcome from [`scores_with_cache_counted`]: how many of
-/// one request's **distinct** query nodes were served from the cache and
-/// how many had to be solved. Duplicated query nodes count once.
+/// The cache's global [`CacheStats`] aggregate across all callers, which
+/// makes them useless for attributing warmth to a single request in a
+/// concurrent stream; per-request tracing wants this local tally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLookups {
     /// Distinct query nodes served from the cache.
@@ -509,43 +487,28 @@ pub struct CacheLookups {
     pub misses: u64,
 }
 
-/// [`scores_with_cache`] plus this call's own [`CacheLookups`].
+/// Solves `queries` against `backend`, serving rows from `cache` where
+/// possible: cache probe → single-flight claim per distinct miss → **one**
+/// batched backend solve over the misses this request leads → block on
+/// flights other requests lead → direct-solve fallback for failed flights.
+/// Returns the matrix plus this call's own [`CacheLookups`].
 ///
-/// The cache's global [`CacheStats`] aggregate across all callers, which
-/// makes them useless for attributing warmth to a single request in a
-/// concurrent stream; per-request tracing wants the local tally.
+/// The returned matrix is row-for-row bitwise identical to
+/// `backend.scores(queries)` run cold: hits and single-flight handoffs were
+/// produced by the same batch-independent backend, misses are produced by
+/// it now, and the fallback path is the plain solve. Duplicate query nodes
+/// are solved once and the row is reused. Hit/miss accounting is
+/// probe-based, so a miss that ends up waiting on another request's solve
+/// still counts as this request's miss.
 ///
 /// # Errors
-/// Same contract as [`scores_with_cache`].
-pub fn scores_with_cache_counted(
+/// [`RwrError::NoQueries`] on an empty slice, plus whatever the backend
+/// solve over the missing nodes returns; when a shared solve fails, each
+/// waiting request re-solves its own nodes and reports that error.
+pub fn scores_with_cache(
     backend: &dyn ScoreBackend,
     cache: &RwrRowCache,
     queries: &[NodeId],
-) -> Result<(ScoreMatrix, CacheLookups)> {
-    scores_with_cache_coalesced(backend, cache, queries, None)
-}
-
-/// The full miss-resolution pipeline behind every cached serving path:
-/// cache probe → single-flight claim per distinct miss → one batched
-/// backend solve over this request's led misses (optionally widened by a
-/// [`Coalescer`] window gathering leads from concurrent requests) → block
-/// on foreign flights → direct-solve fallback for failed flights.
-///
-/// Replies are bitwise-identical to [`scores_with_cache`] run alone: hits,
-/// single-flight handoffs and coalesced rows are all produced by the same
-/// batch-independent backend, and the fallback path is the plain solve.
-/// Hit/miss accounting is probe-based and therefore unchanged by
-/// single-flight and coalescing — a miss that ends up waiting on another
-/// request's solve still counts as this request's miss.
-///
-/// # Errors
-/// Same contract as [`scores_with_cache`]; when a shared solve fails, each
-/// participating request re-solves its own nodes and reports that error.
-pub fn scores_with_cache_coalesced(
-    backend: &dyn ScoreBackend,
-    cache: &RwrRowCache,
-    queries: &[NodeId],
-    coalescer: Option<&Coalescer>,
 ) -> Result<(ScoreMatrix, CacheLookups)> {
     if queries.is_empty() {
         return Err(RwrError::NoQueries);
@@ -595,33 +558,19 @@ pub fn scores_with_cache_coalesced(
         }
 
         if !leads.is_empty() {
-            match coalescer.filter(|c| c.enabled()) {
-                Some(co) => {
-                    // The window leader (this thread or a concurrent one)
-                    // publishes every pooled lead; collect ours via the
-                    // slots like any other wait.
-                    for lead in &leads {
-                        waits.push((lead.node(), lead.slot()));
-                    }
-                    co.resolve(backend, cache, leads);
-                }
-                None => {
-                    // Publish before blocking on foreign flights — waiting
-                    // first could deadlock two requests leading each
-                    // other's nodes.
-                    let nodes: Vec<NodeId> = leads.iter().map(FlightLead::node).collect();
-                    let solved = backend.scores(&nodes)?;
-                    for (i, lead) in leads.into_iter().enumerate() {
-                        let row = Arc::new(solved.row(i).to_vec());
-                        resolved.insert(nodes[i].0, Arc::clone(&row));
-                        lead.publish(cache, row);
-                    }
-                }
+            // Publish before blocking on foreign flights — waiting first
+            // could deadlock two requests leading each other's nodes.
+            let nodes: Vec<NodeId> = leads.iter().map(FlightLead::node).collect();
+            let solved = backend.scores(&nodes)?;
+            for (i, lead) in leads.into_iter().enumerate() {
+                let row = Arc::new(solved.row(i).to_vec());
+                resolved.insert(nodes[i].0, Arc::clone(&row));
+                lead.publish(cache, row);
             }
         }
 
-        // Collect foreign (and coalesced) flights; failed ones fall back to
-        // one direct solve below.
+        // Collect foreign flights; failed ones fall back to one direct
+        // solve below.
         let mut failed: Vec<NodeId> = Vec::new();
         for (q, slot) in waits {
             match cache.wait_flight(&slot) {
@@ -723,12 +672,12 @@ mod tests {
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
         let warm = [NodeId(0), NodeId(4), NodeId(8)];
-        let first = scores_with_cache(&be, &cache, &warm).unwrap();
+        let (first, _) = scores_with_cache(&be, &cache, &warm).unwrap();
         assert_eq!(first, be.scores(&warm).unwrap());
 
         // Overlapping second batch: 0 and 8 hit, 2 misses cold.
         let mixed = [NodeId(8), NodeId(2), NodeId(0)];
-        let second = scores_with_cache(&be, &cache, &mixed).unwrap();
+        let (second, _) = scores_with_cache(&be, &cache, &mixed).unwrap();
         assert_eq!(second, be.scores(&mixed).unwrap());
         let s = cache.stats();
         assert_eq!(s.hits, 2);
@@ -740,7 +689,7 @@ mod tests {
         let be = backend(8);
         let cache = RwrRowCache::new(1 << 20);
         let queries = [NodeId(3), NodeId(3), NodeId(5), NodeId(3)];
-        let m = scores_with_cache(&be, &cache, &queries).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &queries).unwrap();
         assert_eq!(m.query_count(), 4);
         assert_eq!(m.row(0), m.row(1));
         assert_eq!(m.row(0), m.row(3));
@@ -756,7 +705,7 @@ mod tests {
         let cache = RwrRowCache::with_shards(row_bytes(16), 1);
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 5) % 16)];
-            let m = scores_with_cache(&be, &cache, &queries).unwrap();
+            let (m, _) = scores_with_cache(&be, &cache, &queries).unwrap();
             assert_eq!(m, be.scores(&queries).unwrap());
         }
         assert!(cache.stats().evictions > 0, "budget was supposed to thrash");
@@ -764,15 +713,15 @@ mod tests {
     }
 
     #[test]
-    fn counted_variant_reports_this_calls_lookups_only() {
+    fn lookups_report_this_calls_probes_only() {
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
-        let (_, first) = scores_with_cache_counted(&be, &cache, &[NodeId(0), NodeId(4)]).unwrap();
+        let (_, first) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(4)]).unwrap();
         assert_eq!(first, CacheLookups { hits: 0, misses: 2 });
         // Second request: one warm node, one cold, one duplicate (counted
         // once) — the local tally ignores the first call's traffic.
         let (m, second) =
-            scores_with_cache_counted(&be, &cache, &[NodeId(4), NodeId(7), NodeId(4)]).unwrap();
+            scores_with_cache(&be, &cache, &[NodeId(4), NodeId(7), NodeId(4)]).unwrap();
         assert_eq!(second, CacheLookups { hits: 1, misses: 1 });
         assert_eq!(m.query_count(), 3);
         let s = cache.stats();
@@ -798,7 +747,7 @@ mod tests {
             for _ in 0..8 {
                 let (be, cache, expect) = (&be, &cache, &expect);
                 s.spawn(move || {
-                    let (m, _) = scores_with_cache_counted(be, cache, &[NodeId(5)]).unwrap();
+                    let (m, _) = scores_with_cache(be, cache, &[NodeId(5)]).unwrap();
                     assert_eq!(&m, expect);
                 });
             }
@@ -827,7 +776,7 @@ mod tests {
         std::thread::scope(|s| {
             let (be, cache, expect) = (&be, &cache, &expect);
             let waiter = s.spawn(move || {
-                let (m, l) = scores_with_cache_counted(be, cache, &[NodeId(3)]).unwrap();
+                let (m, l) = scores_with_cache(be, cache, &[NodeId(3)]).unwrap();
                 assert_eq!(&m, expect);
                 assert_eq!(l, CacheLookups { hits: 0, misses: 1 });
             });
@@ -856,7 +805,7 @@ mod tests {
         std::thread::scope(|s| {
             let (be, cache, expect) = (&be, &cache, &expect);
             let waiter = s.spawn(move || {
-                let (m, _) = scores_with_cache_counted(be, cache, &[NodeId(2)]).unwrap();
+                let (m, _) = scores_with_cache(be, cache, &[NodeId(2)]).unwrap();
                 assert_eq!(&m, expect, "fallback solve matches");
             });
             std::thread::sleep(std::time::Duration::from_millis(30));

@@ -41,7 +41,6 @@
 pub mod backend;
 pub mod blockwise;
 pub mod cache;
-pub mod coalesce;
 pub mod combine;
 pub mod edge_scores;
 mod error;
@@ -54,11 +53,7 @@ mod solver;
 pub mod variants;
 
 pub use backend::{IterativeScores, PushScores, ScoreBackend};
-pub use cache::{
-    row_cost_bytes, scores_with_cache, scores_with_cache_coalesced, scores_with_cache_counted,
-    CacheLookups, CacheStats, RwrRowCache,
-};
-pub use coalesce::{CoalesceConfig, CoalesceStats, Coalescer};
+pub use cache::{row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, RwrRowCache};
 pub use error::RwrError;
 pub use scores::ScoreMatrix;
 pub use scratch::ScratchPool;

@@ -16,7 +16,9 @@
 //!     }
 //!     let engine = CepsEngine::new(b.build()?, CepsConfig::default().budget(2))?;
 //!     let service = CepsServiceBuilder::new().cache_bytes(16 << 20).build(engine);
-//!     let reply = service.serve(&ServeRequest::new(vec![NodeId(0), NodeId(4)]))?;
+//!     let request = ServeRequest::new(vec![NodeId(0), NodeId(4)]);
+//!     let (result, _metrics) = service.run(&request.queries)?;
+//!     let reply = ServeReply::from_result(&result, &request.queries);
 //!     assert!(reply.members.iter().any(|m| m.id == NodeId(2)));
 //!     Ok(())
 //! }

@@ -440,9 +440,7 @@ fn traced_serving_emits_a_line_per_request_with_consistent_stage_times() {
     let stream: Vec<Vec<NodeId>> = (0..16)
         .map(|i| repo.sample(1 + (i as usize % 3), 500 + i))
         .collect();
-    let outcome = service
-        .serve_stream_traced(&stream, 2, Some(&tracer))
-        .unwrap();
+    let outcome = service.serve_stream(&stream, 2, Some(&tracer)).unwrap();
     assert_eq!(outcome.completed, stream.len());
 
     let text = std::fs::read_to_string(&path).unwrap();
@@ -513,7 +511,7 @@ fn exporter_final_prom_file_matches_the_final_registry_snapshot() {
     .unwrap();
 
     let stream: Vec<Vec<NodeId>> = (0..10).map(|i| repo.sample(2, 900 + i)).collect();
-    service.serve_stream(&stream, 2).unwrap();
+    service.serve_stream(&stream, 2, None).unwrap();
 
     drop(exporter); // final flush: the .prom must now equal the registry
     let snap = ceps_obs::snapshot();
