@@ -16,17 +16,40 @@
 //! splitting one would break the "reasonably connected" requirement — the
 //! final round may overshoot the budget by at most `k · len` nodes; callers
 //! that need a hard cap can lower `budget` accordingly.
+//!
+//! ## Paying only for the explored region
+//!
+//! The greedy loop does no graph-sized work per round:
+//!
+//! * **Destinations** come from one `O(n)` selection per call: the top
+//!   `budget` positive-score nodes, sorted by combined score descending and
+//!   id ascending. Each round takes the first entry not yet in `H` — the
+//!   node Eq. 11's full scan would pick.
+//! * **Path discovery** sweeps uphill from `pd` only inside the source's
+//!   band `key(pd) < key(u) ≤ key(q_i)`, and `pd` counts as
+//!   downhill-reachable exactly when that sweep reaches the source. No
+//!   full-graph downhill cone is computed.
+//! * **Uphill neighbour lists** are memoized per source: a node's
+//!   in-band uphill neighbours depend only on the source's score row, so
+//!   each node's adjacency is scanned once per source for the whole call,
+//!   however many rounds visit it.
+//!
+//! The output is identical to the paper's unpruned DP. Candidates keep
+//! their strict key order and each node's in-edges keep adjacency order.
+//! A band node outside the source's downhill cone can never receive DP
+//! mass, because anything downhill of a cone node is itself in the cone.
+//! So every DP update and tie-break is unchanged.
 
 pub mod active;
 pub mod path;
 
-pub use path::{PathWorkspace, SharingRule};
+pub use path::SharingRule;
 
 use ceps_graph::{CsrGraph, NodeId, Subgraph};
 use ceps_rwr::ScoreMatrix;
 
 use self::active::active_sources;
-use self::path::{discover_key_path_in_cone, PathQuery, SourceCone};
+use self::path::{discover_key_path_with, PathQuery, PathWorkspace, UphillMemo};
 
 /// One key path discovered during extraction, for interpretability: the
 /// paper stresses that EXTRACT "provides some interpretations on why such
@@ -42,7 +65,7 @@ pub struct KeyPath {
 }
 
 /// The result of one EXTRACT run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractOutcome {
     /// The output subgraph `H` (query nodes included).
     pub subgraph: Subgraph,
@@ -106,30 +129,17 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
     let mut added = 0usize; // non-query nodes added so far
     let mut col = vec![0f64; queries.len()];
     let mut ws = PathWorkspace::new();
-    // Downhill reachability from a source depends only on its score row —
-    // not on the destination or the growing subgraph — so each active
-    // source's cone is computed once and shared across every round.
-    let mut cones: Vec<Option<SourceCone>> = vec![None; queries.len()];
+    // Each active source's uphill lists outlive the round that filled
+    // them: they depend only on the source's score row.
+    let mut memos: Vec<Option<UphillMemo>> = (0..queries.len()).map(|_| None).collect();
+    let mut picks = destination_order(combined, &in_h, budget).into_iter();
 
     while added < budget {
-        // Eq. 11: pd = argmax_{j ∉ H} r(Q, j); ties by id for determinism.
-        let mut pd: Option<(u32, f64)> = None;
-        for j in 0..n as u32 {
-            if in_h[j as usize] {
-                continue;
-            }
-            let s = combined[j as usize];
-            match pd {
-                Some((_, bs)) if bs >= s => {}
-                _ => pd = Some((j, s)),
-            }
-        }
-        let Some((pd, pd_score)) = pd else { break };
-        if pd_score <= 0.0 {
-            // Nothing left with any closeness to the query set: adding
-            // zero-score nodes cannot improve g(H).
+        // Eq. 11: pd = argmax_{j ∉ H} r(Q, j), ties by id. Entries that
+        // earlier rounds took in as path members are skipped.
+        let Some(pd) = picks.find(|&j| !in_h[j as usize]) else {
             break;
-        }
+        };
         let pd = NodeId(pd);
         destinations.push(pd);
 
@@ -138,9 +148,8 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
 
         let mut found_any = false;
         for &i in &actives {
-            let cone = cones[i]
-                .get_or_insert_with(|| SourceCone::compute(graph, scores.row(i), queries[i]));
-            let key_path = discover_key_path_in_cone(
+            let memo = memos[i].get_or_insert_with(|| UphillMemo::new(n, queries[i]));
+            let key_path = discover_key_path_with(
                 PathQuery {
                     graph,
                     individual: scores.row(i),
@@ -151,7 +160,7 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
                     max_new_nodes: max_path_len,
                     sharing,
                 },
-                cone,
+                memo,
                 &mut ws,
             );
             let Some(nodes) = key_path else { continue };
@@ -195,6 +204,30 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
         paths,
         orphan_destinations: orphans,
     }
+}
+
+/// Eq. 11's destinations in pick order: combined score descending, ties
+/// by ascending id. Query nodes and nodes scoring `≤ 0` are left out, since
+/// adding a zero-score node cannot improve `g(H)`.
+///
+/// Only the first `budget` entries can ever be picked: every entry ahead
+/// of a pick is already in `H`, and each such non-query node counts toward
+/// `added < budget`.
+fn destination_order(combined: &[f64], in_h: &[bool], budget: usize) -> Vec<u32> {
+    let rank = |a: &u32, b: &u32| {
+        combined[*b as usize]
+            .total_cmp(&combined[*a as usize])
+            .then(a.cmp(b))
+    };
+    let mut order: Vec<u32> = (0..combined.len() as u32)
+        .filter(|&j| combined[j as usize] > 0.0 && !in_h[j as usize])
+        .collect();
+    if order.len() > budget {
+        order.select_nth_unstable_by(budget, rank);
+        order.truncate(budget);
+    }
+    order.sort_unstable_by(rank);
+    order
 }
 
 #[cfg(test)]

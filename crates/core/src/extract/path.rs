@@ -66,6 +66,65 @@ fn key(individual: &[f64], v: u32) -> (f64, std::cmp::Reverse<u32>) {
     (individual[v as usize], std::cmp::Reverse(v))
 }
 
+/// Memoized in-band uphill neighbour lists of one source.
+///
+/// Path discovery from `q_i` to `pd` only ever steps from a node `v` to a
+/// neighbour `u` with `key(v) < key(u) ≤ key(q_i)`: uphill, and never past
+/// the source. Both bounds belong to the edge and the source, not to `pd`
+/// or to the growing subgraph, so `v`'s list is the same in every EXTRACT
+/// round. It is filled on `v`'s first visit, in adjacency order, and every
+/// later sweep from the same source reads it instead of rescanning `v`'s
+/// adjacency.
+///
+/// Storage grows with the visited region: the one `n`-sized array is
+/// zero-initialised and written only at visited nodes, so the pages of
+/// nodes no sweep reaches are never touched.
+#[derive(Debug)]
+pub(crate) struct UphillMemo {
+    source: NodeId,
+    /// `slot[v] = i + 1` when `v`'s list is `adj[bounds[i]..bounds[i + 1]]`;
+    /// `0` while `v` is unvisited.
+    slot: Vec<u32>,
+    bounds: Vec<u32>,
+    adj: Vec<u32>,
+}
+
+impl UphillMemo {
+    /// An empty memo for `source` over a graph of `n` nodes.
+    pub(crate) fn new(n: usize, source: NodeId) -> Self {
+        UphillMemo {
+            source,
+            slot: vec![0; n],
+            bounds: vec![0],
+            adj: Vec::new(),
+        }
+    }
+
+    /// `v`'s in-band uphill neighbours, computed on the first call.
+    fn fill(&mut self, graph: &CsrGraph, individual: &[f64], v: u32) -> &[u32] {
+        if self.slot[v as usize] == 0 {
+            let vk = key(individual, v);
+            let top = key(individual, self.source.0);
+            self.adj
+                .extend(graph.neighbor_ids(NodeId(v)).iter().filter(|&&u| {
+                    let uk = key(individual, u);
+                    uk > vk && uk <= top
+                }));
+            // Lists are a subset of the graph's arcs, which fit `u32`.
+            self.bounds.push(self.adj.len() as u32);
+            self.slot[v as usize] = (self.bounds.len() - 1) as u32;
+        }
+        self.get(v)
+    }
+
+    /// `v`'s list; `v` must have been filled.
+    fn get(&self, v: u32) -> &[u32] {
+        let i = self.slot[v as usize] as usize;
+        debug_assert!(i > 0, "node {v} read before its first visit");
+        &self.adj[self.bounds[i - 1] as usize..self.bounds[i] as usize]
+    }
+}
+
 /// Reusable scratch buffers for [`discover_key_path_with`].
 ///
 /// Path discovery runs once per (destination, active source) pair — dozens
@@ -73,10 +132,10 @@ fn key(individual: &[f64], v: u32) -> (f64, std::cmp::Reverse<u32>) {
 /// local neighbourhood actually explored, not the graph. The two `n`-sized
 /// maps here (`reach` stamps, candidate positions) are the only full-graph
 /// state, and this struct amortizes them across calls: stamps are
-/// invalidated by bumping `epoch`, positions are un-set on exit via the
-/// candidate list, so no per-call `O(n)` clearing happens either.
+/// invalidated by bumping `epoch`, positions are only read for stamped
+/// nodes, so no per-call `O(n)` clearing happens either.
 #[derive(Debug, Default)]
-pub struct PathWorkspace {
+pub(crate) struct PathWorkspace {
     /// Candidate stamps: a node is a candidate of the current call iff its
     /// stamp equals the call's epoch.
     reach: Vec<u32>,
@@ -87,14 +146,6 @@ pub struct PathWorkspace {
     epoch: u32,
     stack: Vec<u32>,
     candidates: Vec<u32>,
-    /// Downhill edges between candidates, `(lower, upper)` node ids, as
-    /// recorded by the ascending sweep.
-    edges: Vec<(u32, u32)>,
-    /// CSR over `edges` by destination position: in-edge sources (as
-    /// positions) of candidate `p` live at
-    /// `edge_src[edge_starts[p]..edge_starts[p + 1]]`.
-    edge_starts: Vec<u32>,
-    edge_src: Vec<u32>,
     dp: Vec<f64>,
     parent: Vec<(u32, u32)>,
     /// Bit `s` set ⇔ `dp[p * width + s]` holds finite mass; lets the DP
@@ -104,7 +155,7 @@ pub struct PathWorkspace {
 
 impl PathWorkspace {
     /// A workspace usable with graphs of any size (buffers grow on demand).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -121,54 +172,6 @@ impl PathWorkspace {
         self.epoch += 1;
         self.stack.clear();
         self.candidates.clear();
-        self.edges.clear();
-    }
-}
-
-/// The downhill-reachable cone of one source under one score row.
-///
-/// A node is in the cone when some strictly score-descending walk from the
-/// source reaches it. Crucially this is independent of the destination:
-/// every intermediate node of a downhill walk to `v` scores above `v`, so
-/// a walk that ends inside the `[r(i, pd), r(i, q_i)]` band never leaves
-/// it. It is also independent of the partially built subgraph. EXTRACT
-/// therefore computes one cone per active source and reuses it across all
-/// of that source's destinations.
-#[derive(Debug, Clone)]
-pub struct SourceCone {
-    source: NodeId,
-    reach: Vec<bool>,
-}
-
-impl SourceCone {
-    /// Computes the cone of `source` under the score row `individual`.
-    pub fn compute(graph: &CsrGraph, individual: &[f64], source: NodeId) -> Self {
-        let n = graph.node_count();
-        debug_assert_eq!(individual.len(), n);
-        let mut reach = vec![false; n];
-        let mut stack = vec![source.0];
-        reach[source.index()] = true;
-        while let Some(v) = stack.pop() {
-            let vk = key(individual, v);
-            for (u, _w) in graph.neighbors(NodeId(v)) {
-                let u = u.0;
-                if !reach[u as usize] && key(individual, u) < vk {
-                    reach[u as usize] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        SourceCone { source, reach }
-    }
-
-    /// The source the cone was computed from.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Whether `v` is downhill-reachable from the source.
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.reach[v.index()]
     }
 }
 
@@ -176,42 +179,32 @@ impl SourceCone {
 /// when no downhill path within the length bound exists (including the
 /// degenerate case `source == dest`).
 ///
-/// Convenience wrapper over [`discover_key_path_with`] that allocates a
-/// fresh [`PathWorkspace`]; loops should reuse one instead.
+/// Runs one discovery with fresh scratch state; EXTRACT itself keeps one
+/// memo per source and one workspace across all of its rounds.
 pub fn discover_key_path(q: PathQuery<'_>) -> Option<Vec<NodeId>> {
-    discover_key_path_with(q, &mut PathWorkspace::new())
+    let mut memo = UphillMemo::new(q.graph.node_count(), q.source);
+    discover_key_path_with(q, &mut memo, &mut PathWorkspace::new())
 }
 
-/// [`discover_key_path`] with caller-provided scratch space; computes the
-/// source's [`SourceCone`] inline. Callers issuing several discoveries from
-/// one source should compute the cone once and use
-/// [`discover_key_path_in_cone`].
-pub fn discover_key_path_with(q: PathQuery<'_>, ws: &mut PathWorkspace) -> Option<Vec<NodeId>> {
-    if q.source == q.dest {
-        return None;
-    }
-    let cone = SourceCone::compute(q.graph, q.individual, q.source);
-    discover_key_path_in_cone(q, &cone, ws)
-}
-
-/// [`discover_key_path`] against a precomputed [`SourceCone`].
+/// [`discover_key_path`] with a caller-kept [`UphillMemo`] for `q.source`
+/// and caller-provided scratch space.
 ///
-/// The DP only ever assigns mass to nodes on some downhill walk from the
-/// source, and only nodes with a downhill walk into `pd` can contribute to
-/// the answer — so instead of enumerating every node whose score lies in
-/// the `[r(i, pd), r(i, q_i)]` band (which on a power-law graph is most of
-/// the high-score cone), the candidate set is computed exactly as
-/// {cone of the source} ∩ {backward-reachable from `pd`} with one
-/// score-ascending traversal from `pd` that never leaves the cone. The
-/// surviving candidates keep their relative downhill order, every downhill
-/// edge among them is preserved, and the pruned nodes carried no DP mass,
-/// so the discovered path is identical to the unpruned computation's.
+/// The candidate set comes from one uphill sweep from `pd` inside the
+/// source's band `key(pd) < key(u) ≤ key(q_i)`. The sweep marks exactly
+/// the band nodes with an uphill walk to them from `pd`; `pd` is
+/// downhill-reachable from the source iff the sweep marks the source. Some
+/// marked nodes may lie outside the source's downhill cone, but none of
+/// them can carry DP mass: anything downhill of a cone node is itself in
+/// the cone, so their in-edges come only from other massless nodes. The
+/// candidates keep their strict key order and each one's in-edges keep
+/// adjacency order, so every DP update and tie-break — and the path — is
+/// the one the paper's unpruned DP over the whole band would produce.
 ///
 /// # Panics
-/// Debug-asserts that `cone` belongs to `q.source` and `q.graph`.
-pub fn discover_key_path_in_cone(
+/// Debug-asserts that `memo` belongs to `q.source` and `q.graph`.
+pub(crate) fn discover_key_path_with(
     q: PathQuery<'_>,
-    cone: &SourceCone,
+    memo: &mut UphillMemo,
     ws: &mut PathWorkspace,
 ) -> Option<Vec<NodeId>> {
     if q.source == q.dest {
@@ -221,45 +214,32 @@ pub fn discover_key_path_in_cone(
     debug_assert_eq!(q.individual.len(), n);
     debug_assert_eq!(q.combined.len(), n);
     debug_assert_eq!(q.in_subgraph.len(), n);
-    debug_assert_eq!(cone.source, q.source);
-    debug_assert_eq!(cone.reach.len(), n);
+    debug_assert_eq!(memo.source, q.source);
+    debug_assert_eq!(memo.slot.len(), n);
 
-    let dest_key = key(q.individual, q.dest.0);
-    let src_key = key(q.individual, q.source.0);
-    if src_key < dest_key {
+    if key(q.individual, q.source.0) < key(q.individual, q.dest.0) {
         return None; // the source itself is "below" pd: no downhill path
-    }
-    if !cone.reach[q.dest.index()] {
-        return None; // pd is not downhill-reachable at all
     }
 
     ws.begin(n);
     let mark = ws.epoch;
 
-    // Ascending sweep from pd inside the cone; what it marks is exactly
-    // the candidate set (and it never inspects more than their edges).
-    // Every downhill edge between candidates is recorded as it is first
-    // seen — from its lower endpoint, which the sweep pops exactly once —
-    // so the DP below never has to rescan adjacency lists.
+    // Uphill sweep from pd inside the band; what it marks is the candidate
+    // set, and each candidate's memo list holds its DP in-edges.
     ws.reach[q.dest.index()] = mark;
     ws.stack.push(q.dest.0);
     ws.candidates.push(q.dest.0);
     while let Some(v) = ws.stack.pop() {
-        let vk = key(q.individual, v);
-        for (u, _w) in q.graph.neighbors(NodeId(v)) {
-            let u = u.0;
-            if !cone.reach[u as usize] {
-                continue; // outside the cone: never a candidate
-            }
-            if key(q.individual, u) > vk {
-                ws.edges.push((v, u));
-                if ws.reach[u as usize] != mark {
-                    ws.reach[u as usize] = mark;
-                    ws.stack.push(u);
-                    ws.candidates.push(u);
-                }
+        for &u in memo.fill(q.graph, q.individual, v) {
+            if ws.reach[u as usize] != mark {
+                ws.reach[u as usize] = mark;
+                ws.stack.push(u);
+                ws.candidates.push(u);
             }
         }
+    }
+    if ws.reach[q.source.index()] != mark {
+        return None; // pd is not downhill-reachable at all
     }
 
     let individual = q.individual;
@@ -277,36 +257,8 @@ pub fn discover_key_path_in_cone(
         ws.pos_of[v as usize] = p as u32;
     }
     if ceps_obs::enabled() {
-        // Candidate-prune effectiveness: sweep size vs. the whole graph.
+        // Sweep size: the band nodes with an uphill walk from pd.
         ceps_obs::record("extract.candidates", m as f64);
-    }
-
-    // Bucket the recorded edges by destination position (counting sort):
-    // the DP wants, per candidate, its downhill in-edges as positions.
-    let ecount = ws.edges.len();
-    ws.edge_starts.clear();
-    ws.edge_starts.resize(m + 1, 0);
-    for &(v, _) in &ws.edges {
-        ws.edge_starts[ws.pos_of[v as usize] as usize + 1] += 1;
-    }
-    for p in 0..m {
-        ws.edge_starts[p + 1] += ws.edge_starts[p];
-    }
-    ws.edge_src.clear();
-    ws.edge_src.resize(ecount, 0);
-    {
-        // `edge_starts` doubles as the scatter cursor; shifting it back
-        // afterwards restores the prefix sums.
-        let starts = &mut ws.edge_starts;
-        for &(v, u) in &ws.edges {
-            let slot = &mut starts[ws.pos_of[v as usize] as usize];
-            ws.edge_src[*slot as usize] = ws.pos_of[u as usize];
-            *slot += 1;
-        }
-        for p in (1..=m).rev() {
-            starts[p] = starts[p - 1];
-        }
-        starts[0] = 0;
     }
 
     let len = q.max_new_nodes;
@@ -348,11 +300,9 @@ pub fn discover_key_path_in_cone(
         let s_min = usize::from(!v_free);
         let pb = p * width;
         let mut pocc = 0u64;
-        let es = ws.edge_starts[p] as usize;
-        let ee = ws.edge_starts[p + 1] as usize;
-        for &up in &ws.edge_src[es..ee] {
-            let up = up as usize;
-            debug_assert!(up < p, "recorded edges must be downhill");
+        for &u in memo.get(v) {
+            let up = ws.pos_of[u as usize] as usize;
+            debug_assert!(up < p, "in-edges must come from earlier candidates");
             let ub = up * width;
             if masked {
                 // Transfer: slot s_prev feeds s = s_prev (free node) or

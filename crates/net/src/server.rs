@@ -5,7 +5,7 @@
 //! `ceps-wire/v1` on its connection: requests are answered in order, one
 //! at a time per connection; concurrency comes from many connections.
 //!
-//! Three guard rails keep a misbehaving or overeager client from taking
+//! Four guard rails keep a misbehaving or overeager client from taking
 //! the service down:
 //!
 //! * a **max-frame guard** — oversized frames are rejected from the
@@ -15,7 +15,10 @@
 //!   queueing unboundedly;
 //! * **timeouts** — reads poll in short slices (so shutdown is observed
 //!   between frames), idle connections are reaped, and writes carry a
-//!   deadline.
+//!   deadline;
+//! * **panic isolation** — a `Query` or `AutoK` whose execution panics
+//!   gets an `Internal` error reply (counted in `net.panics_total`, noted
+//!   in the flight recorder); the worker and its connection carry on.
 //!
 //! A `Shutdown` frame (or [`CepsServer::request_stop`]) drains the
 //! server: in-progress requests finish, every worker closes its
@@ -287,6 +290,9 @@ pub struct CepsServer {
     tracer: Option<RequestTracer>,
     latencies: Mutex<VecDeque<f64>>,
     queue_delays: Mutex<VecDeque<f64>>,
+    /// Test seam: the next executed `Query`/`AutoK` panics.
+    #[cfg(test)]
+    panic_next: AtomicBool,
 }
 
 impl CepsServer {
@@ -312,6 +318,8 @@ impl CepsServer {
             tracer: None,
             latencies: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
             queue_delays: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
+            #[cfg(test)]
+            panic_next: AtomicBool::new(false),
         }
     }
 
@@ -607,7 +615,11 @@ impl CepsServer {
                 let start = Instant::now();
                 let queue_ms = start.duration_since(decoded).as_secs_f64() * 1e3;
                 self.note_queue_delay(queue_ms);
-                let outcome = self.service.run(&req.queries);
+                let outcome =
+                    match self.isolate(id, ctx.trace_id, || self.service.run(&req.queries)) {
+                        Ok(outcome) => outcome,
+                        Err(error) => return (Reply::Error { id, error }, false),
+                    };
                 let latency_ms = start.elapsed().as_secs_f64() * 1e3;
                 record("net.query_ms", latency_ms);
                 // Every completed query leaves a mark in the ring (value:
@@ -658,10 +670,17 @@ impl CepsServer {
                 };
                 self.counters.queries.fetch_add(1, Ordering::Relaxed);
                 counter("net.queries_total", 1);
-                let _trace_guard = ceps_obs::with_trace(TraceContext::new_root());
+                let ctx = TraceContext::new_root();
+                let _trace_guard = ceps_obs::with_trace(ctx);
                 let start = Instant::now();
                 self.note_queue_delay(start.duration_since(decoded).as_secs_f64() * 1e3);
-                let reply = match infer_soft_and_k(self.service.engine(), &queries) {
+                let inferred = match self.isolate(id, ctx.trace_id, || {
+                    infer_soft_and_k(self.service.engine(), &queries)
+                }) {
+                    Ok(inferred) => inferred,
+                    Err(error) => return (Reply::Error { id, error }, false),
+                };
+                let reply = match inferred {
                     Ok(inf) => Reply::AutoK {
                         id,
                         k: inf.k,
@@ -688,6 +707,36 @@ impl CepsServer {
                 false,
             ),
         }
+    }
+
+    /// Executes one request's work, turning a panic into an `Internal`
+    /// error for the reply: the worker thread survives and its connection
+    /// stays usable. Each panic counts in `net.panics_total` and leaves an
+    /// `error` event named `net.panic` in the flight recorder.
+    ///
+    /// `AssertUnwindSafe` holds because a request shares only the row
+    /// cache with others: its mutexes poison rather than expose torn
+    /// state, and an unwinding single-flight leader fails its waiters over
+    /// to their own solves.
+    fn isolate<T>(&self, id: u64, trace_id: u64, run: impl FnOnce() -> T) -> Result<T, WireError> {
+        let run = || {
+            #[cfg(test)]
+            if self.panic_next.swap(false, Ordering::AcqRel) {
+                panic!("injected request panic");
+            }
+            run()
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string payload".to_string());
+            counter("net.panics_total", 1);
+            ceps_obs::flight_event(FlightKind::Error, "net.panic", trace_id, id);
+            ceps_obs::warn!("ceps-net: request {id} panicked: {what}");
+            WireError::new(WireErrorKind::Internal, format!("request panicked: {what}"))
+        })
     }
 
     fn shed(&self, id: u64) -> Reply {
@@ -804,6 +853,74 @@ mod tests {
             assert_eq!(server.stats().sheds, 1);
             client.shutdown().unwrap();
         });
+    }
+
+    /// A panic inside request execution costs that request only: with a
+    /// single worker, the same connection and then a fresh one are both
+    /// served afterwards (a lost worker would serve neither), and `serve`
+    /// drains cleanly (a worker that died by panic would fail the join).
+    #[test]
+    fn a_panicking_request_gets_internal_and_keeps_its_worker() {
+        // Only this test panics requests, so the global counter's value
+        // is at least this test's own count whatever else runs.
+        ceps_obs::install_recorder();
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = CepsServer::new(test_service(), config);
+        let (mut transport, connector) = in_proc();
+        let stats = std::thread::scope(|s| {
+            let server = &server;
+            let handle = s.spawn(move || server.serve(&mut transport));
+            // A failed assertion below must not leave `serve` running (the
+            // scope would never join), and a lost worker must show as a
+            // timeout rather than a hang.
+            struct StopOnDrop<'a>(&'a CepsServer);
+            impl Drop for StopOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.request_stop();
+                }
+            }
+            let _stop = StopOnDrop(server);
+            let connect = || {
+                let mut c = CepsClient::from_conn(Box::new(connector.connect().unwrap()));
+                c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+                c
+            };
+            let mut client = connect();
+            let query = ServeRequest::new(vec![NodeId(0), NodeId(5)]);
+            let expect_internal = |err: crate::NetError| match err {
+                crate::NetError::Remote(e) => {
+                    assert_eq!(e.kind, WireErrorKind::Internal);
+                    assert!(
+                        e.message.contains("injected request panic"),
+                        "{}",
+                        e.message
+                    );
+                }
+                other => panic!("expected Internal, got {other}"),
+            };
+
+            server.panic_next.store(true, Ordering::Release);
+            expect_internal(client.request(&query).unwrap_err());
+            let reply = client.request(&query).unwrap();
+            assert!(!reply.members.is_empty());
+
+            server.panic_next.store(true, Ordering::Release);
+            expect_internal(client.autok(vec![NodeId(0), NodeId(5)]).unwrap_err());
+            client.autok(vec![NodeId(0), NodeId(5)]).unwrap();
+            drop(client);
+
+            let mut fresh = connect();
+            fresh.request(&query).unwrap();
+            fresh.shutdown().unwrap();
+            handle.join().expect("worker panicked").unwrap()
+        });
+        assert_eq!(stats.errors, 2);
+        assert_eq!(stats.queries, 5);
+        let panics = ceps_obs::snapshot().counter("net.panics_total");
+        assert!(panics >= Some(2), "net.panics_total = {panics:?}");
     }
 
     #[test]
