@@ -71,7 +71,10 @@ fn time_ms(trials: usize, mut f: impl FnMut()) -> f64 {
 /// Runs the benchmark over `workload`'s graph.
 ///
 /// Columns: `Q`, the three wall-clock times in milliseconds (best of
-/// `trials`), and the block/parallel speedups over the scalar loop.
+/// `trials`), the block/parallel speedups over the scalar loop, and the
+/// pooled solve's sweep count (`sweeps`, the most iterations any column
+/// ran) and time per sweep (`sweep_ms` = `par_block_ms / sweeps`). The
+/// last two tell cheaper sweeps apart from fewer sweeps.
 ///
 /// # Panics
 /// Panics if the three paths disagree on the solved scores — the benchmark
@@ -92,6 +95,8 @@ pub fn run(workload: &Workload, params: &RwrBenchParams) -> Table {
             "par_block_ms".into(),
             "block_speedup".into(),
             "par_speedup".into(),
+            "sweeps".into(),
+            "sweep_ms".into(),
         ],
     );
     for (i, &q) in params.query_counts.iter().enumerate() {
@@ -103,7 +108,9 @@ pub fn run(workload: &Workload, params: &RwrBenchParams) -> Table {
         // Equivalence before timing: all three paths must produce the same R.
         let reference = scalar.solve_many_unbatched(&queries).unwrap();
         assert_eq!(reference, block.solve_many(&queries).unwrap());
-        assert_eq!(reference, par.solve_many(&queries).unwrap());
+        let (par_scores, par_stats) = par.solve_block(&queries).unwrap();
+        assert_eq!(reference, par_scores);
+        let sweeps = par_stats.iter().map(|s| s.iterations).max().unwrap_or(0);
 
         let t_scalar = time_ms(params.trials, || {
             scalar.solve_many_unbatched(&queries).unwrap();
@@ -121,6 +128,8 @@ pub fn run(workload: &Workload, params: &RwrBenchParams) -> Table {
             t_par,
             t_scalar / t_block,
             t_scalar / t_par,
+            sweeps as f64,
+            t_par / sweeps.max(1) as f64,
         ]);
     }
     table
@@ -187,18 +196,17 @@ pub const SCALING_QUERY_COUNT: usize = 5;
 /// Nodes × threads scaling sweep — the paper-scale story in one table.
 ///
 /// For every scale in `scales`, generates a fresh workload, normalizes it
-/// with the default (auto-layout) options — so presets above the banding
-/// threshold exercise the cache-blocked kernel — and times the
-/// **forced-parallel** pooled kernel (`min_work = 0`) at
+/// with the default options (`f64` coefficients, the one flat layout) and
+/// times the **forced-parallel** pooled fused sweep (`min_work = 0`) at
 /// [`SCALING_QUERY_COUNT`] queries for each worker count. Speedups are
 /// relative to the same scale's 1-thread row (prepended if absent).
 ///
 /// Alongside the timings each row records the memory story:
 /// `op_f64_mb` / `op_f32_mb` are the normalized operator's footprint at
-/// both storage precisions (offsets + targets + coefficients + band
-/// index), and `peak_rss_mb` is the process's peak resident set
-/// ([`rss::peak_rss_kb`], `0` where procfs is unavailable), reset at the
-/// start of each scale when the platform allows it.
+/// both storage precisions (offsets + targets + coefficients), and
+/// `peak_rss_mb` is the process's peak resident set ([`rss::peak_rss_kb`],
+/// `0` where procfs is unavailable), reset at the start of each scale when
+/// the platform allows it.
 ///
 /// # Panics
 /// Panics if the pooled kernel disagrees with the sequential reference on
@@ -238,7 +246,6 @@ pub fn node_thread_scaling(scales: &[Scale], params: &RwrBenchParams) -> Table {
                 norm,
                 TransitionOptions {
                     precision: Precision::F32,
-                    ..TransitionOptions::default()
                 },
             );
             t32.memory_bytes() as f64 / (1 << 20) as f64
@@ -374,10 +381,14 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0][0], 2.0);
         assert_eq!(t.rows[1][0], 3.0);
-        // Times are positive and speedups finite.
+        // Times are positive, speedups finite, and the default solve runs
+        // all 50 sweeps.
+        assert_eq!(t.columns[6..], ["sweeps", "sweep_ms"]);
         for row in &t.rows {
             assert!(row[1..4].iter().all(|&ms| ms > 0.0));
             assert!(row[4..].iter().all(|&s| s.is_finite() && s > 0.0));
+            assert_eq!(row[6], 50.0);
+            assert!((row[7] - row[3] / 50.0).abs() < 1e-12);
         }
     }
 }

@@ -169,7 +169,6 @@ impl CepsEngine {
             normalization,
             TransitionOptions {
                 precision: config.precision,
-                ..TransitionOptions::default()
             },
         ));
         // One lazy pool handle per engine: clones (and the services built

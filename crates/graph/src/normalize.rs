@@ -29,33 +29,42 @@
 //! stochastic kinds) columns are guaranteed to sum to 1 over the incident
 //! arcs.
 //!
-//! ## Paper-scale layout and precision
+//! ## The fused RWR sweep
 //!
-//! At the paper's DBLP scale (~315K nodes) the input panel `x` of a block
-//! product no longer fits in L2, so the per-arc gather `x[target]` thrashes.
-//! Two orthogonal, opt-in representations address that:
+//! Every product runs through one flat row kernel. For each row `u` it
+//! gathers `x[t]` over `u`'s arcs in ascending target order into `K`
+//! register accumulators (one const-generic panel of up to 8 columns; wider
+//! blocks sweep in 8-column panels) and stores the finished row once. It
+//! has two entry points:
 //!
-//! * **Cache-blocked (banded) row layout** ([`LayoutChoice::Banded`], picked
-//!   automatically above [`AUTO_BAND_NODE_THRESHOLD`] nodes): each row's
-//!   arcs are partitioned into fixed-width *bands* of the target index
-//!   space, and the kernel sweeps band by band, so all `x` rows touched by
-//!   one band stay cache-resident. Because every CSR row stores its targets
-//!   in ascending order, visiting bands in ascending order preserves the
-//!   exact per-row accumulation order of the flat kernel — the partial
-//!   accumulator round-trips through `out` between bands, and an `f64`
-//!   store/load is exact, so banded results are **bitwise identical** to
-//!   flat results.
-//! * **`f32` coefficients** ([`Precision::F32`]): halves the bandwidth of
-//!   the coefficient array (targets/offsets are already `u32`).
-//!   Accumulation always happens in `f64` — each stored coefficient is
-//!   widened before the fused multiply-add — so the only error source is
-//!   the one-time rounding of each coefficient (≤ 2⁻²⁴ relative). The
-//!   `experiments -- check` quality gate bounds the end-to-end score
-//!   deviation and requires identical EXTRACT output.
+//! * the plain products ([`Transition::apply`], [`Transition::apply_block`])
+//!   store `M X` as is;
+//! * [`Transition::rwr_sweep`] applies the restart step of Eq. 4 to each
+//!   accumulator row before storing it, `c · acc + (1 − c) · [u = source]`,
+//!   on whichever pool worker owns the row. The solver therefore gets the
+//!   finished iterate from the product and runs no serial pass over the
+//!   `N × A` block after it.
 //!
-//! Both default to off ([`TransitionOptions::default`] keeps the flat `f64`
-//! layout on small graphs), and the flat kernel remains the oracle the
-//! banded one is property-tested against.
+//! The fused sweep is **bitwise identical** to `apply_block` followed by
+//! the same scalar epilogue: each row's arc order and each per-column `f64`
+//! operation are unchanged, and storing an `f64` to `out` and reading it
+//! back is exact, so moving the epilogue in front of the store changes no
+//! bit.
+//!
+//! The row layout is flat CSR at every scale. A panel of `x` at the
+//! `large` preset (80K nodes, 3 columns) is 1.9 MB, inside a 2 MB L2; at
+//! 315K nodes, where it is not, a cache-blocked band layout still measured
+//! slower and larger than flat, so there is no other layout.
+//!
+//! ## Coefficient precision
+//!
+//! **`f32` coefficients** ([`Precision::F32`]) halve the bandwidth of the
+//! coefficient array (targets/offsets are already `u32`). Accumulation
+//! always happens in `f64` — each stored coefficient is widened before the
+//! multiply-add — so the only error source is the one-time rounding of each
+//! coefficient (≤ 2⁻²⁴ relative). The `experiments -- check` quality gate
+//! bounds the end-to-end score deviation and requires identical EXTRACT
+//! output. [`TransitionOptions::default`] keeps `f64`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -118,55 +127,12 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// Requested row layout for a [`Transition`] (see [`TransitionOptions`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LayoutChoice {
-    /// Flat below [`AUTO_BAND_NODE_THRESHOLD`] nodes, banded (with
-    /// [`DEFAULT_BAND_WIDTH`]) at or above it.
-    #[default]
-    Auto,
-    /// Always the flat CSR sweep (the small-graph default and the
-    /// bitwise-identity oracle).
-    Flat,
-    /// Always the cache-blocked layout with the given band width (clamped
-    /// to ≥ 1). Mostly useful for tests and experiments; `Auto` picks a
-    /// width sized so a band's slice of `x` fits in L2.
-    Banded {
-        /// Band width in target-index space (number of columns per band).
-        band_width: u32,
-    },
-}
-
-/// The layout a [`Transition`] actually resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Flat CSR: one pass over each row's full arc list.
-    Flat,
-    /// Cache-blocked: arcs grouped into fixed-width target bands.
-    Banded {
-        /// Band width in target-index space.
-        band_width: u32,
-    },
-}
-
 /// Construction options for [`Transition::with_options`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransitionOptions {
-    /// Row layout (default [`LayoutChoice::Auto`]).
-    pub layout: LayoutChoice,
     /// Coefficient storage width (default [`Precision::F64`]).
     pub precision: Precision,
 }
-
-/// Node count at or above which [`LayoutChoice::Auto`] switches to the
-/// banded layout. Below it the whole `x` panel fits comfortably in L2 and
-/// banding only adds bookkeeping.
-pub const AUTO_BAND_NODE_THRESHOLD: usize = 1 << 16;
-
-/// Band width [`LayoutChoice::Auto`] uses: 4096 target rows per band keeps
-/// a band's slice of `x` at `4096 × cols × 8` bytes — 256 KiB for the
-/// widest 8-column panel, i.e. resident in any contemporary L2.
-pub const DEFAULT_BAND_WIDTH: u32 = 4096;
 
 /// A stored coefficient type the kernels can widen to `f64`.
 trait Coefficient: Copy {
@@ -319,210 +285,106 @@ impl Iterator for CoeffsIter<'_> {
 
 impl ExactSizeIterator for CoeffsIter<'_> {}
 
-/// One maximal run of a row's arcs falling into a single target band.
-/// `start..end` indexes the shared `targets`/`coeffs` arrays.
+/// The restart step of Eq. 4 that [`Transition::rwr_sweep`] folds into the
+/// row kernel: row `u` of block column `j` is stored as
+/// `c · (M X)[u, j] + (1 − c) · [u = sources[j]]`.
 #[derive(Debug, Clone, Copy)]
-struct BandEntry {
-    row: u32,
-    start: u32,
-    end: u32,
+pub struct Restart<'a> {
+    /// Continuation probability `c`; the restart mass is `1 − c`.
+    pub c: f64,
+    /// The source node of each block column (one entry per column).
+    pub sources: &'a [NodeId],
 }
 
-/// The cache-blocked index: per band, the (row-ascending) list of arc runs
-/// that land in it. Sparse by construction — a row contributes one entry
-/// per band it actually touches, so `entries.len() ≤ nnz` and in practice
-/// stays near `node_count` (community-clustered graphs touch few bands per
-/// row).
-#[derive(Debug, Clone)]
-struct Bands {
-    band_width: u32,
-    /// `band_count + 1` prefix offsets into `entries`.
-    band_offsets: Vec<u32>,
-    entries: Vec<BandEntry>,
+/// The operator's CSR arrays at one coefficient type.
+#[derive(Clone, Copy)]
+struct Csr<'a, C> {
+    offsets: &'a [u32],
+    targets: &'a [u32],
+    coeffs: &'a [C],
 }
 
-impl Bands {
-    fn build(offsets: &[u32], targets: &[u32], node_count: usize, band_width: u32) -> Bands {
-        let w = band_width.max(1);
-        let band_count = node_count.div_ceil(w as usize);
-        // Pass 1: segments per band (shifted by one for the prefix sum).
-        let mut band_offsets = vec![0u32; band_count + 1];
-        let per_row = |u: usize, f: &mut dyn FnMut(u32, usize, usize)| {
-            let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
-            let mut i = s;
-            while i < e {
-                let band = targets[i] / w;
-                let mut j = i + 1;
-                while j < e && targets[j] / w == band {
-                    j += 1;
-                }
-                f(band, i, j);
-                i = j;
-            }
-        };
-        for u in 0..node_count {
-            per_row(u, &mut |band, _, _| band_offsets[band as usize + 1] += 1);
-        }
-        for b in 1..band_offsets.len() {
-            band_offsets[b] += band_offsets[b - 1];
-        }
-        // Pass 2: place each segment at its band's cursor. Rows are visited
-        // in ascending order, so entries stay row-sorted within each band —
-        // the invariant the chunked kernel's binary search relies on.
-        let total = *band_offsets.last().unwrap_or(&0) as usize;
-        let mut entries = vec![
-            BandEntry {
-                row: 0,
-                start: 0,
-                end: 0
-            };
-            total
-        ];
-        let mut cursor: Vec<u32> = band_offsets[..band_count].to_vec();
-        for u in 0..node_count {
-            per_row(u, &mut |band, i, j| {
-                let c = &mut cursor[band as usize];
-                entries[*c as usize] = BandEntry {
-                    row: u as u32,
-                    start: i as u32,
-                    end: j as u32,
-                };
-                *c += 1;
-            });
-        }
-        Bands {
-            band_width: w,
-            band_offsets,
-            entries,
-        }
-    }
-
-    fn band_count(&self) -> usize {
-        self.band_offsets.len() - 1
-    }
-
-    fn band_entries(&self, b: usize) -> &[BandEntry] {
-        let (s, e) = (
-            self.band_offsets[b] as usize,
-            self.band_offsets[b + 1] as usize,
-        );
-        &self.entries[s..e]
-    }
-
-    fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.band_offsets.as_slice())
-            + std::mem::size_of_val(self.entries.as_slice())
-    }
-}
-
-/// Flat `K`-column panel kernel: one pass over the full CSR arc list per
-/// row. Per column the arc order is exactly ascending-target order.
-#[allow(clippy::too_many_arguments)]
-fn flat_panel<const K: usize, C: Coefficient>(
-    offsets: &[u32],
-    targets: &[u32],
-    coeffs: &[C],
-    x: &[f64],
+/// The row kernel. For each row of `out` (global row `first_row + local`)
+/// it accumulates columns `first_col .. first_col + K` of `M X` over the
+/// row's arcs in ascending target order, applies the restart step when one
+/// is given, and stores the finished row. `xrow(t)` is row `t`'s `K`-column
+/// slice of `x`. Per column the arc order is the same for every block
+/// width, which is what makes block and scalar products bitwise equal.
+fn row_kernel<'x, const K: usize, C: Coefficient>(
+    csr: Csr<'_, C>,
+    xrow: impl Fn(usize) -> &'x [f64; K],
     out: &mut [f64],
     cols: usize,
     first_row: usize,
     first_col: usize,
+    restart: Option<Restart<'_>>,
 ) {
+    let restart = restart.map(|r| {
+        let sources: &[NodeId; K] = r.sources[first_col..first_col + K]
+            .try_into()
+            .expect("one source per column");
+        (r.c, 1.0 - r.c, sources)
+    });
     for (local, orow) in out.chunks_exact_mut(cols).enumerate() {
         let u = first_row + local;
-        let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
+        let (s, e) = (csr.offsets[u] as usize, csr.offsets[u + 1] as usize);
         let mut acc = [0f64; K];
-        for (t, c) in targets[s..e].iter().zip(&coeffs[s..e]) {
-            let xrow = &x[*t as usize * cols + first_col..];
-            for (a, xv) in acc.iter_mut().zip(&xrow[..K]) {
-                *a += c.widen() * xv;
+        for (t, c) in csr.targets[s..e].iter().zip(&csr.coeffs[s..e]) {
+            let c = c.widen();
+            for (a, xv) in acc.iter_mut().zip(xrow(*t as usize)) {
+                *a += c * xv;
+            }
+        }
+        if let Some((c, mass, sources)) = restart {
+            for (a, src) in acc.iter_mut().zip(sources) {
+                *a = c * *a + if src.index() == u { mass } else { 0.0 };
             }
         }
         orow[first_col..first_col + K].copy_from_slice(&acc);
     }
 }
 
-/// Banded `K`-column panel kernel: zero the panel, then sweep band by band,
-/// folding each arc run into its row's accumulator loaded from (and stored
-/// back to) `out`. Bands ascend and rows store targets ascending, so the
-/// per-row addition sequence is identical to [`flat_panel`]; the `f64`
-/// round-trip through `out` is exact, making the result bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn banded_panel<const K: usize, C: Coefficient>(
-    bands: &Bands,
-    targets: &[u32],
-    coeffs: &[C],
-    x: &[f64],
-    out: &mut [f64],
-    cols: usize,
-    first_row: usize,
-    first_col: usize,
-) {
-    let rows = out.len() / cols;
-    let row_end = first_row + rows;
-    for orow in out.chunks_exact_mut(cols) {
-        orow[first_col..first_col + K].fill(0.0);
-    }
-    for b in 0..bands.band_count() {
-        let entries = bands.band_entries(b);
-        // Restrict to this chunk's rows: entries are row-ascending per band.
-        let lo = entries.partition_point(|en| (en.row as usize) < first_row);
-        let hi = lo + entries[lo..].partition_point(|en| (en.row as usize) < row_end);
-        for en in &entries[lo..hi] {
-            let local = en.row as usize - first_row;
-            let orow = &mut out[local * cols + first_col..local * cols + first_col + K];
-            let mut acc = [0f64; K];
-            acc.copy_from_slice(orow);
-            let (s, e) = (en.start as usize, en.end as usize);
-            for (t, c) in targets[s..e].iter().zip(&coeffs[s..e]) {
-                let xrow = &x[*t as usize * cols + first_col..];
-                for (a, xv) in acc.iter_mut().zip(&xrow[..K]) {
-                    *a += c.widen() * xv;
-                }
-            }
-            orow.copy_from_slice(&acc);
-        }
-    }
-}
-
-/// Dispatches one `K`-column panel to the flat or banded kernel.
-#[allow(clippy::too_many_arguments)]
+/// Runs [`row_kernel`] on one `K`-column panel. When the panel is the
+/// whole block (`cols == K`), `x` is read as `K`-wide rows, which leaves
+/// one bounds check per arc; panels of a wider block read a strided slice.
 fn panel<const K: usize, C: Coefficient>(
-    bands: Option<&Bands>,
-    offsets: &[u32],
-    targets: &[u32],
-    coeffs: &[C],
+    csr: Csr<'_, C>,
     x: &[f64],
     out: &mut [f64],
     cols: usize,
     first_row: usize,
     first_col: usize,
+    restart: Option<Restart<'_>>,
 ) {
-    match bands {
-        None => flat_panel::<K, C>(offsets, targets, coeffs, x, out, cols, first_row, first_col),
-        Some(b) => banded_panel::<K, C>(b, targets, coeffs, x, out, cols, first_row, first_col),
+    if cols == K {
+        let (rows, _) = x.as_chunks::<K>();
+        let xrow = move |t: usize| &rows[t];
+        row_kernel(csr, xrow, out, cols, first_row, first_col, restart);
+    } else {
+        let xrow = move |t: usize| -> &[f64; K] {
+            x[t * cols + first_col..][..K]
+                .try_into()
+                .expect("K-wide panel row")
+        };
+        row_kernel(csr, xrow, out, cols, first_row, first_col, restart);
     }
 }
 
 /// Block kernel over the rows covered by `out`, generic over coefficient
-/// storage and layout. Narrow widths run as one const-generic panel whose
+/// storage. Narrow widths run as one const-generic panel whose
 /// accumulators live in registers; wider blocks sweep in 8-column panels.
 fn block_rows<C: Coefficient>(
-    bands: Option<&Bands>,
-    offsets: &[u32],
-    targets: &[u32],
-    coeffs: &[C],
+    csr: Csr<'_, C>,
     x: &[f64],
     out: &mut [f64],
     cols: usize,
     first_row: usize,
+    restart: Option<Restart<'_>>,
 ) {
     debug_assert_eq!(out.len() % cols, 0);
     macro_rules! p {
         ($k:literal, $fc:expr) => {
-            panel::<$k, C>(
-                bands, offsets, targets, coeffs, x, out, cols, first_row, $fc,
-            )
+            panel::<$k, C>(csr, x, out, cols, first_row, $fc, restart)
         };
     }
     match cols {
@@ -573,24 +435,21 @@ fn block_rows<C: Coefficient>(
 /// accumulating the new value at `u`, so one matrix–vector product is a pure
 /// gather over each node's CSR slice (see [`Transition::apply`]).
 ///
-/// Large graphs additionally carry the cache-blocked band index and may
-/// store coefficients in `f32` — see the module docs and
-/// [`Transition::with_options`]. Neither changes the operator's *values*
-/// beyond the documented `f32` rounding, and the banded kernel is bitwise
-/// identical to the flat one.
+/// Coefficients may be stored in `f32` — see the module docs and
+/// [`Transition::with_options`]; that changes no value beyond the
+/// documented rounding.
 #[derive(Debug, Clone)]
 pub struct Transition {
     offsets: Vec<u32>,
     targets: Vec<u32>,
     coeffs: Coeffs,
-    bands: Option<Bands>,
     kind: Normalization,
     node_count: usize,
 }
 
 impl Transition {
     /// Normalizes `graph` according to `kind`, with default options
-    /// (auto layout, `f64` coefficients).
+    /// (`f64` coefficients).
     ///
     /// Isolated nodes get an all-zero column (the walk can never reach or
     /// leave them), which the stochastic invariant tolerates.
@@ -598,21 +457,14 @@ impl Transition {
         Self::with_options(graph, kind, TransitionOptions::default())
     }
 
-    /// Normalizes `graph` according to `kind` with explicit layout and
-    /// precision options.
+    /// Normalizes `graph` according to `kind` with an explicit coefficient
+    /// precision.
     pub fn with_options(graph: &CsrGraph, kind: Normalization, opts: TransitionOptions) -> Self {
         let (offsets, targets, coeffs, kind) = match kind {
             Normalization::ColumnStochastic => raw_degree_penalized(graph, 0.0),
             Normalization::DegreePenalized { alpha } => raw_degree_penalized(graph, alpha),
             Normalization::Symmetric => raw_symmetric(graph),
         };
-        let n = graph.node_count();
-        let band_width = match opts.layout {
-            LayoutChoice::Flat => None,
-            LayoutChoice::Banded { band_width } => Some(band_width.max(1)),
-            LayoutChoice::Auto => (n >= AUTO_BAND_NODE_THRESHOLD).then_some(DEFAULT_BAND_WIDTH),
-        };
-        let bands = band_width.map(|w| Bands::build(&offsets, &targets, n, w));
         let coeffs = match opts.precision {
             Precision::F64 => Coeffs::F64(coeffs),
             Precision::F32 => Coeffs::F32(coeffs.iter().map(|&c| c as f32).collect()),
@@ -621,9 +473,8 @@ impl Transition {
             offsets,
             targets,
             coeffs,
-            bands,
             kind,
-            node_count: n,
+            node_count: graph.node_count(),
         }
     }
 
@@ -637,24 +488,13 @@ impl Transition {
         self.coeffs.precision()
     }
 
-    /// The resolved row layout.
-    pub fn layout(&self) -> Layout {
-        match &self.bands {
-            None => Layout::Flat,
-            Some(b) => Layout::Banded {
-                band_width: b.band_width,
-            },
-        }
-    }
-
     /// Bytes held by the operator's index and coefficient arrays (offsets,
-    /// targets, coefficients, and the band index when present) — the
-    /// number the `f32`/banded memory story is measured by.
+    /// targets, coefficients) — the number the `f32` memory story is
+    /// measured by.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.offsets.as_slice())
             + std::mem::size_of_val(self.targets.as_slice())
             + self.coeffs.bytes()
-            + self.bands.as_ref().map_or(0, Bands::bytes)
     }
 
     /// Number of nodes (matrix dimension).
@@ -665,15 +505,16 @@ impl Transition {
 
     /// Computes `out = M · x` (one sparse matrix–vector product).
     ///
-    /// The caller layers the restart term on top (`ceps-rwr` does
-    /// `x ← c · Mx + (1−c) e`).
+    /// The caller layers the restart term on top (`ceps-rwr`'s single-source
+    /// solve does `x ← c · Mx + (1−c) e`); [`Transition::rwr_sweep`] is the
+    /// block form with that step fused in.
     ///
     /// # Panics
     /// Panics if `x` or `out` is not `node_count` long.
     pub fn apply(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.node_count, "input vector length mismatch");
         assert_eq!(out.len(), self.node_count, "output vector length mismatch");
-        self.apply_block_rows(x, out, 1, 0);
+        self.apply_block_rows(x, out, 1, 0, None);
     }
 
     /// Computes `out = M · X` for a dense block `X` of `cols` column
@@ -685,169 +526,66 @@ impl Transition {
     /// accumulators, instead of being re-read per solve as in the
     /// one-column [`Transition::apply`]. Per column, the accumulation
     /// visits arcs in the same order as `apply`, so results are
-    /// bitwise-identical to `cols` independent scalar products — in the
-    /// banded layout too (see the module docs).
+    /// bitwise-identical to `cols` independent scalar products.
     ///
     /// # Panics
     /// Panics if `cols == 0` or either slice is not `node_count * cols`
     /// long.
     pub fn apply_block(&self, x: &[f64], out: &mut [f64], cols: usize) {
-        assert!(cols > 0, "block must have at least one column");
-        assert_eq!(
-            x.len(),
-            self.node_count * cols,
-            "input block length mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            self.node_count * cols,
-            "output block length mismatch"
-        );
-        self.apply_block_rows(x, out, cols, 0);
+        self.check_block(x, out, cols);
+        self.apply_block_rows(x, out, cols, 0, None);
     }
 
-    /// Block kernel over the row range `first_row ..`, writing into `out`
-    /// (whose length selects how many rows are computed). Shared by
-    /// [`Transition::apply_block`] and the parallel row-chunked variants.
-    /// Dispatches on coefficient storage and layout, then on panel width.
-    fn apply_block_rows(&self, x: &[f64], out: &mut [f64], cols: usize, first_row: usize) {
-        match &self.coeffs {
-            Coeffs::F64(c) => block_rows(
-                self.bands.as_ref(),
-                &self.offsets,
-                &self.targets,
-                c,
-                x,
-                out,
-                cols,
-                first_row,
-            ),
-            Coeffs::F32(c) => block_rows(
-                self.bands.as_ref(),
-                &self.offsets,
-                &self.targets,
-                c,
-                x,
-                out,
-                cols,
-                first_row,
-            ),
-        }
-    }
-
-    /// Number of stored coefficients (arcs): the cost of one
-    /// [`Transition::apply`] sweep, and — times the column count — the
-    /// work estimate the parallel kernels weigh against a pool's
-    /// [`WorkerPool::min_work`] threshold.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.coeffs.len()
-    }
-
-    /// Splits the rows into up to `target` contiguous ranges of roughly
-    /// equal **nonzero count** (not row count): chunk boundaries are found
-    /// by binary-searching the CSR `offsets` prefix sums for the `k/target`
-    /// nnz quantiles. Skewed-degree graphs (ours are) make per-row-count
-    /// chunks pathologically unbalanced — one hub-heavy chunk serializes
-    /// the whole product; nnz balancing is what lets the worker pool keep
-    /// every thread busy.
+    /// One power iteration of Eq. 4 on a block of `cols` columns:
+    /// `out = c · M X + (1 − c) · E`, where column `j` of `E` is the unit
+    /// vector of `restart.sources[j]`. Same block layout as
+    /// [`Transition::apply_block`].
     ///
-    /// In the banded layout, interior boundaries are additionally snapped
-    /// to the nearest band-width multiple (when that keeps chunks
-    /// non-empty), so each worker's chunk covers whole band blocks and the
-    /// per-band entry restriction stays a pair of clean binary searches.
+    /// The restart step runs inside the row kernel, on the row's
+    /// accumulators before they are stored, so `out` holds the finished
+    /// iterate when the call returns — pooled or not.
     ///
-    /// Ranges are non-empty, disjoint, ascending and cover `0..node_count`
-    /// exactly. A row whose nnz exceeds a quantile span simply becomes its
-    /// own (oversized) chunk — rows are never split.
-    pub fn balanced_row_chunks(&self, target: usize) -> Vec<(usize, usize)> {
-        let n = self.node_count;
-        if n == 0 {
-            return Vec::new();
-        }
-        let target = target.clamp(1, n);
-        let nnz = self.nnz() as u64;
-        if nnz == 0 {
-            return vec![(0, n)];
-        }
-        let mut chunks = Vec::with_capacity(target);
-        let mut prev = 0usize;
-        for k in 1..target {
-            let want = (k as u64 * nnz).div_ceil(target as u64) as u32;
-            // First row index whose prefix sum reaches the quantile.
-            let mut bound = self.offsets.partition_point(|&o| o < want).min(n);
-            if let Some(b) = &self.bands {
-                let w = b.band_width as usize;
-                let down = bound - bound % w;
-                let up = (down + w).min(n);
-                let snapped = if bound - down <= up - bound { down } else { up };
-                if snapped > prev {
-                    bound = snapped;
-                }
-            }
-            if bound > prev {
-                chunks.push((prev, bound));
-                prev = bound;
-            }
-        }
-        if prev < n {
-            chunks.push((prev, n));
-        }
-        chunks
-    }
-
-    /// Parallel [`Transition::apply`] over a persistent [`WorkerPool`]:
-    /// identical to the sequential kernel, with rows computed by whichever
-    /// worker claims them. See [`Transition::par_apply_block`].
+    /// With a `pool`, the rows go through one dispatch (wake → steal →
+    /// sleep), no thread spawns: they are pre-split into nnz-balanced
+    /// chunks ([`Transition::balanced_row_chunks`], ~4 per worker) and
+    /// claimed off an atomic cursor, so a straggling worker sheds load to
+    /// the others. The sweep stays on the calling thread when `pool` is
+    /// `None` or single-threaded, or when the estimated work (`nnz × cols`)
+    /// is under the pool's [`WorkerPool::min_work`] threshold — below it
+    /// the barrier costs more than the parallelism recovers.
     ///
-    /// # Panics
-    /// Panics if `x` or `out` is not `node_count` long.
-    pub fn par_apply(&self, x: &[f64], out: &mut [f64], pool: &WorkerPool) {
-        assert_eq!(x.len(), self.node_count, "input vector length mismatch");
-        assert_eq!(out.len(), self.node_count, "output vector length mismatch");
-        self.par_apply_block(x, out, 1, pool);
-    }
-
-    /// Parallel [`Transition::apply_block`] over a persistent
-    /// [`WorkerPool`]: one dispatch (wake → steal → sleep) per call, no
-    /// thread spawns. The rows are pre-split into nnz-balanced chunks
-    /// ([`Transition::balanced_row_chunks`], ~4 per worker, band-aligned in
-    /// the banded layout) and claimed off an atomic cursor, so a straggling
-    /// worker sheds load to the others.
-    ///
-    /// Falls back to the sequential kernel when the pool is
-    /// single-threaded or the estimated work (`nnz × cols`) is under the
-    /// pool's [`WorkerPool::min_work`] threshold — below it the barrier
-    /// costs more than the parallelism recovers.
-    ///
-    /// **Bitwise-identical to [`Transition::apply_block`]**: each row is
-    /// computed by exactly one worker with the same per-row arithmetic
-    /// order (flat and banded alike), so neither the chunking nor the
-    /// claiming order can change a single bit of the output.
+    /// **Bitwise-identical to [`Transition::apply_block`] followed by
+    /// `v = c · v + (1 − c) · [u = source]` per entry**: the products are
+    /// the same operations in the same order, the epilogue is applied to
+    /// the value that would have been stored, and each row is computed by
+    /// exactly one worker, so neither the chunking nor the claiming order
+    /// can change a bit.
     ///
     /// Telemetry (when a `ceps-obs` recorder is installed): a `pool.apply`
-    /// span around the dispatch and a `pool.chunks_stolen` counter for
+    /// span around a pooled dispatch and a `pool.chunks_stolen` counter for
     /// chunks claimed by non-calling workers.
     ///
     /// # Panics
     /// Panics if `cols == 0`, either slice is not `node_count * cols` long,
-    /// or the job panics on a worker.
-    pub fn par_apply_block(&self, x: &[f64], out: &mut [f64], cols: usize, pool: &WorkerPool) {
-        assert!(cols > 0, "block must have at least one column");
-        assert_eq!(
-            x.len(),
-            self.node_count * cols,
-            "input block length mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            self.node_count * cols,
-            "output block length mismatch"
-        );
-        let workers = pool.threads().min(self.node_count).max(1);
-        if workers <= 1 || self.nnz().saturating_mul(cols) < pool.min_work() {
-            return self.apply_block_rows(x, out, cols, 0);
-        }
+    /// `restart.sources` does not have `cols` entries, or the job panics on
+    /// a worker.
+    pub fn rwr_sweep(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        cols: usize,
+        restart: Restart<'_>,
+        pool: Option<&WorkerPool>,
+    ) {
+        self.check_block(x, out, cols);
+        assert_eq!(restart.sources.len(), cols, "one source per column");
+        let restart = Some(restart);
+        let workers = pool.map_or(1, |p| p.threads().min(self.node_count));
+        let Some(pool) =
+            pool.filter(|p| workers > 1 && self.nnz().saturating_mul(cols) >= p.min_work())
+        else {
+            return self.apply_block_rows(x, out, cols, 0, restart);
+        };
         let _span = ceps_obs::span("pool.apply");
         let bounds = self.balanced_row_chunks(workers * ceps_pool::CHUNKS_PER_WORKER);
         // Split `out` into per-chunk slices up front; each cell is locked
@@ -874,7 +612,7 @@ impl Transition {
                     .expect("chunk cell lock")
                     .take()
                     .expect("chunk claimed twice");
-                self.apply_block_rows(x, chunk, cols, first_row);
+                self.apply_block_rows(x, chunk, cols, first_row, restart);
                 claimed += 1;
             }
             if worker != 0 && claimed > 0 {
@@ -884,6 +622,93 @@ impl Transition {
         if ceps_obs::enabled() {
             ceps_obs::counter("pool.chunks_stolen", stolen.load(Ordering::Relaxed));
         }
+    }
+
+    fn check_block(&self, x: &[f64], out: &[f64], cols: usize) {
+        assert!(cols > 0, "block must have at least one column");
+        assert_eq!(
+            x.len(),
+            self.node_count * cols,
+            "input block length mismatch"
+        );
+        assert_eq!(
+            out.len(),
+            self.node_count * cols,
+            "output block length mismatch"
+        );
+    }
+
+    /// The row kernel over the row range `first_row ..`, writing into `out`
+    /// (whose length selects how many rows are computed), with the restart
+    /// step when one is given. Shared by every product, sequential and
+    /// pooled. Dispatches on coefficient storage, then on panel width.
+    fn apply_block_rows(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        cols: usize,
+        first_row: usize,
+        restart: Option<Restart<'_>>,
+    ) {
+        match &self.coeffs {
+            Coeffs::F64(c) => block_rows(self.csr(c), x, out, cols, first_row, restart),
+            Coeffs::F32(c) => block_rows(self.csr(c), x, out, cols, first_row, restart),
+        }
+    }
+
+    fn csr<'a, C>(&'a self, coeffs: &'a [C]) -> Csr<'a, C> {
+        Csr {
+            offsets: &self.offsets,
+            targets: &self.targets,
+            coeffs,
+        }
+    }
+
+    /// Number of stored coefficients (arcs): the cost of one
+    /// [`Transition::apply`] sweep, and — times the column count — the
+    /// work estimate [`Transition::rwr_sweep`] weighs against a pool's
+    /// [`WorkerPool::min_work`] threshold.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        self.coeffs.len()
+    }
+
+    /// Splits the rows into up to `target` contiguous ranges of roughly
+    /// equal **nonzero count** (not row count): chunk boundaries are found
+    /// by binary-searching the CSR `offsets` prefix sums for the `k/target`
+    /// nnz quantiles. Skewed-degree graphs (ours are) make per-row-count
+    /// chunks pathologically unbalanced — one hub-heavy chunk serializes
+    /// the whole product; nnz balancing is what lets the worker pool keep
+    /// every thread busy.
+    ///
+    /// Ranges are non-empty, disjoint, ascending and cover `0..node_count`
+    /// exactly. A row whose nnz exceeds a quantile span simply becomes its
+    /// own (oversized) chunk — rows are never split.
+    pub fn balanced_row_chunks(&self, target: usize) -> Vec<(usize, usize)> {
+        let n = self.node_count;
+        if n == 0 {
+            return Vec::new();
+        }
+        let target = target.clamp(1, n);
+        let nnz = self.nnz() as u64;
+        if nnz == 0 {
+            return vec![(0, n)];
+        }
+        let mut chunks = Vec::with_capacity(target);
+        let mut prev = 0usize;
+        for k in 1..target {
+            let want = (k as u64 * nnz).div_ceil(target as u64) as u32;
+            // First row index whose prefix sum reaches the quantile.
+            let bound = self.offsets.partition_point(|&o| o < want).min(n);
+            if bound > prev {
+                chunks.push((prev, bound));
+                prev = bound;
+            }
+        }
+        if prev < n {
+            chunks.push((prev, n));
+        }
+        chunks
     }
 
     /// The matrix entry `M[u, v]` (`W̃[u, v]` in the paper's notation — for
@@ -1067,7 +892,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A ~60-node weighted graph whose rows span several width-8 bands.
+    /// A ~60-node weighted graph with arcs that reach across the id range.
     fn wide_graph() -> CsrGraph {
         let n = 60u32;
         let mut b = GraphBuilder::new();
@@ -1187,87 +1012,47 @@ mod tests {
     }
 
     #[test]
-    fn auto_layout_is_flat_below_threshold() {
+    fn default_options_store_f64() {
         let g = wide_graph();
         let t = Transition::new(&g, Normalization::ColumnStochastic);
-        assert_eq!(t.layout(), Layout::Flat);
         assert_eq!(t.precision(), Precision::F64);
         assert!(t.memory_bytes() > 0);
     }
 
     #[test]
-    fn banded_apply_is_bitwise_identical_to_flat() {
+    fn chunked_rows_match_full_apply() {
+        // Computing the block in two arbitrary row chunks — what each pool
+        // worker does — must equal one full apply, bitwise, with and
+        // without the fused restart step.
         let g = wide_graph();
-        let kind = Normalization::DegreePenalized { alpha: 0.5 };
-        let flat = Transition::with_options(
-            &g,
-            kind,
-            TransitionOptions {
-                layout: LayoutChoice::Flat,
-                precision: Precision::F64,
-            },
-        );
-        for band_width in [1u32, 3, 8, 64, 1000] {
-            let banded = Transition::with_options(
-                &g,
-                kind,
-                TransitionOptions {
-                    layout: LayoutChoice::Banded { band_width },
-                    precision: Precision::F64,
-                },
-            );
-            assert_eq!(
-                banded.layout(),
-                Layout::Banded {
-                    band_width: band_width.max(1)
-                }
-            );
-            // cols = 11 exercises the 8-wide panel split too.
-            for cols in [1usize, 2, 5, 8, 11] {
-                let n = g.node_count();
-                let x: Vec<f64> = (0..n * cols).map(|i| (i as f64).sin()).collect();
-                let mut a = vec![0f64; n * cols];
-                let mut b = vec![0f64; n * cols];
-                flat.apply_block(&x, &mut a, cols);
-                banded.apply_block(&x, &mut b, cols);
-                assert!(
-                    a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()),
-                    "band_width {band_width} cols {cols}: banded differs from flat"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn banded_chunked_rows_match_full_apply() {
-        // Drive the chunked entry restriction directly: computing the block
-        // in two arbitrary row chunks must equal one full apply, bitwise.
-        let g = wide_graph();
-        let t = Transition::with_options(
-            &g,
-            Normalization::ColumnStochastic,
-            TransitionOptions {
-                layout: LayoutChoice::Banded { band_width: 8 },
-                precision: Precision::F64,
-            },
-        );
+        let t = Transition::new(&g, Normalization::ColumnStochastic);
         let n = g.node_count();
         let cols = 3;
+        let sources = [NodeId(0), NodeId(29), NodeId(59)];
         let x: Vec<f64> = (0..n * cols).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut whole = vec![0f64; n * cols];
-        t.apply_block(&x, &mut whole, cols);
-        for split in [1usize, 7, 29, n - 1] {
-            let mut parts = vec![0f64; n * cols];
-            let (lo, hi) = parts.split_at_mut(split * cols);
-            t.apply_block_rows(&x, lo, cols, 0);
-            t.apply_block_rows(&x, hi, cols, split);
-            assert!(
-                whole
-                    .iter()
-                    .zip(&parts)
-                    .all(|(p, q)| p.to_bits() == q.to_bits()),
-                "split at {split} differs"
-            );
+        for restart in [
+            None,
+            Some(Restart {
+                c: 0.5,
+                sources: &sources,
+            }),
+        ] {
+            let mut whole = vec![0f64; n * cols];
+            t.apply_block_rows(&x, &mut whole, cols, 0, restart);
+            for split in [1usize, 7, 29, n - 1] {
+                let mut parts = vec![0f64; n * cols];
+                let (lo, hi) = parts.split_at_mut(split * cols);
+                t.apply_block_rows(&x, lo, cols, 0, restart);
+                t.apply_block_rows(&x, hi, cols, split, restart);
+                assert!(
+                    whole
+                        .iter()
+                        .zip(&parts)
+                        .all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "split at {split} differs (restart {})",
+                    restart.is_some()
+                );
+            }
         }
     }
 
@@ -1280,7 +1065,6 @@ mod tests {
             &g,
             kind,
             TransitionOptions {
-                layout: LayoutChoice::Flat,
                 precision: Precision::F32,
             },
         );
@@ -1306,62 +1090,6 @@ mod tests {
         lean.apply(&x, &mut b);
         for (p, q) in a.iter().zip(&b) {
             assert!((p - q).abs() < 1e-6, "f32 apply drifted: {p} vs {q}");
-        }
-    }
-
-    #[test]
-    fn f32_banded_is_bitwise_identical_to_f32_flat() {
-        let g = wide_graph();
-        let kind = Normalization::ColumnStochastic;
-        let mk = |layout| {
-            Transition::with_options(
-                &g,
-                kind,
-                TransitionOptions {
-                    layout,
-                    precision: Precision::F32,
-                },
-            )
-        };
-        let flat = mk(LayoutChoice::Flat);
-        let banded = mk(LayoutChoice::Banded { band_width: 16 });
-        let n = g.node_count();
-        let cols = 5;
-        let x: Vec<f64> = (0..n * cols).map(|i| (i as f64).cos()).collect();
-        let mut a = vec![0f64; n * cols];
-        let mut b = vec![0f64; n * cols];
-        flat.apply_block(&x, &mut a, cols);
-        banded.apply_block(&x, &mut b, cols);
-        assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
-    }
-
-    #[test]
-    fn banded_chunks_snap_to_band_boundaries_and_cover_all_rows() {
-        let g = wide_graph();
-        let t = Transition::with_options(
-            &g,
-            Normalization::ColumnStochastic,
-            TransitionOptions {
-                layout: LayoutChoice::Banded { band_width: 8 },
-                precision: Precision::F64,
-            },
-        );
-        let n = g.node_count();
-        for target in [1usize, 2, 3, 5, n] {
-            let chunks = t.balanced_row_chunks(target);
-            assert!(!chunks.is_empty());
-            assert_eq!(chunks.first().unwrap().0, 0);
-            assert_eq!(chunks.last().unwrap().1, n);
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "chunks must tile contiguously");
-            }
-            for &(s, e) in &chunks {
-                assert!(s < e, "empty chunk");
-                // Interior boundaries land on band multiples when possible.
-                if e != n && target <= 3 {
-                    assert_eq!(e % 8, 0, "boundary {e} not band-aligned");
-                }
-            }
         }
     }
 }

@@ -6,7 +6,7 @@ use ceps_graph::{
     algo::{connected_components, dijkstra, hop_distances},
     io::{read_edge_list, write_edge_list},
     normalize::{Normalization, Transition},
-    GraphBuilder, LayoutChoice, NodeId, Precision, Subgraph, TransitionOptions,
+    GraphBuilder, NodeId, Precision, Restart, Subgraph, TransitionOptions,
 };
 use proptest::prelude::*;
 
@@ -113,8 +113,8 @@ proptest! {
     fn apply_block_matches_scalar_apply(
         (n, edges) in arb_edges(),
         alpha in 0.0f64..2.0,
-        cols in 1usize..6,
-        fill in proptest::collection::vec(0.0f64..1.0, 24 * 6),
+        cols in 1usize..=12,
+        fill in proptest::collection::vec(0.0f64..1.0, 24 * 12),
     ) {
         let g = build(n, &edges);
         let t = Transition::new(&g, Normalization::DegreePenalized { alpha });
@@ -132,38 +132,6 @@ proptest! {
                 prop_assert_eq!(block_out[u * cols + j], col_out[u],
                     "col {} node {}", j, u);
             }
-        }
-    }
-
-    /// Pooled row-chunking never changes the output: `par_apply_block`
-    /// over a persistent worker pool equals `apply_block` bitwise across
-    /// thread counts {1, 2, 3, 8} and widths {1, 2, 5} (each row is
-    /// computed by exactly one worker, same inner loop). The pool's
-    /// `min_work` is forced to 0 so tiny random graphs still exercise the
-    /// parallel path, and the pool is reused across both calls like the
-    /// solver reuses it across iterations.
-    #[test]
-    fn par_apply_block_matches_sequential(
-        (n, edges) in arb_edges(),
-        cols_pick in 0usize..3,
-        threads_pick in 0usize..4,
-        fill in proptest::collection::vec(0.0f64..1.0, 24 * 5),
-    ) {
-        let cols = [1usize, 2, 5][cols_pick];
-        let threads = [1usize, 2, 3, 8][threads_pick];
-        let g = build(n, &edges);
-        let t = Transition::new(&g, Normalization::ColumnStochastic);
-        let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
-        let x: Vec<f64> = fill[..n * cols].to_vec();
-        let mut seq = vec![0f64; n * cols];
-        let mut par = vec![0f64; n * cols];
-        t.apply_block(&x, &mut seq, cols);
-        t.par_apply_block(&x, &mut par, cols, &pool);
-        prop_assert_eq!(&seq, &par);
-        if cols == 1 {
-            let mut par1 = vec![0f64; n];
-            t.par_apply(&x, &mut par1, &pool);
-            prop_assert_eq!(&seq, &par1);
         }
     }
 
@@ -200,46 +168,55 @@ proptest! {
         }
     }
 
-    /// The cache-blocked (banded) layout is a pure traversal reordering:
-    /// for any graph, band width, column count, storage precision and
-    /// worker count, the banded operator equals the flat one **bitwise** —
-    /// sequentially and through a forced-parallel pooled dispatch. Rows'
-    /// targets are sorted, bands sweep ascending, and the per-band f64
-    /// accumulator round-trips exactly through `out`, so the addition
-    /// order matches the flat kernel addend for addend.
+    /// The fused RWR sweep is `apply_block` followed by the scalar restart
+    /// epilogue `v = c · v + (1 − c) · [u = source]`, bit for bit: for any
+    /// graph, normalization, storage precision, block width 1–12 (so the
+    /// 8-column panel split runs) and source choice, on the calling thread
+    /// and through a persistent pool of 1, 2, 3 or 8 workers with
+    /// `min_work` 0, so tiny graphs still take the chunked path. Each row
+    /// is computed by exactly one worker, so neither the chunking nor the
+    /// claiming order may change a bit.
     #[test]
-    fn banded_layout_matches_flat_bitwise(
+    fn rwr_sweep_matches_apply_block_then_restart(
         (n, edges) in arb_edges(),
         alpha in 0.0f64..2.0,
-        // One index over the full 4 x 3 x 4 x 2 grid of
-        // (cols, threads, band width, precision) combinations.
-        grid_pick in 0usize..96,
-        fill in proptest::collection::vec(0.0f64..1.0, 24 * 8),
+        c in 0.05f64..0.95,
+        // One index over the 3 x 2 x 4 x 12 grid of
+        // (normalization, precision, pool threads, cols) combinations.
+        grid_pick in 0usize..288,
+        picks in proptest::collection::vec(0usize..24, 12),
+        fill in proptest::collection::vec(0.0f64..1.0, 24 * 12),
     ) {
-        let cols = [1usize, 2, 5, 8][grid_pick % 4];
-        let threads = [1usize, 2, 4][(grid_pick / 4) % 3];
-        let band_width = [1u32, 3, 7, 16][(grid_pick / 12) % 4];
-        let precision = [Precision::F64, Precision::F32][(grid_pick / 48) % 2];
+        let norm = [
+            Normalization::ColumnStochastic,
+            Normalization::DegreePenalized { alpha },
+            Normalization::Symmetric,
+        ][grid_pick % 3];
+        let precision = [Precision::F64, Precision::F32][(grid_pick / 3) % 2];
+        let threads = [1usize, 2, 3, 8][(grid_pick / 6) % 4];
+        let cols = 1 + grid_pick / 24;
         let g = build(n, &edges);
-        let norm = Normalization::DegreePenalized { alpha };
-        let flat = Transition::with_options(&g, norm, TransitionOptions {
-            layout: LayoutChoice::Flat,
-            precision,
-        });
-        let banded = Transition::with_options(&g, norm, TransitionOptions {
-            layout: LayoutChoice::Banded { band_width },
-            precision,
-        });
+        let t = Transition::with_options(&g, norm, TransitionOptions { precision });
         let x: Vec<f64> = fill[..n * cols].to_vec();
-        let mut flat_out = vec![0f64; n * cols];
-        let mut banded_out = vec![0f64; n * cols];
-        flat.apply_block(&x, &mut flat_out, cols);
-        banded.apply_block(&x, &mut banded_out, cols);
-        prop_assert_eq!(&flat_out, &banded_out, "sequential banded != flat");
+        let sources: Vec<NodeId> = picks[..cols].iter().map(|&p| NodeId((p % n) as u32)).collect();
+
+        let mut want = vec![0f64; n * cols];
+        t.apply_block(&x, &mut want, cols);
+        for (u, row) in want.chunks_exact_mut(cols).enumerate() {
+            for (v, src) in row.iter_mut().zip(&sources) {
+                *v = c * *v + if src.index() == u { 1.0 - c } else { 0.0 };
+            }
+        }
+        let restart = Restart { c, sources: &sources };
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+
+        let mut seq = vec![0f64; n * cols];
+        t.rwr_sweep(&x, &mut seq, cols, restart, None);
+        prop_assert_eq!(bits(&want), bits(&seq), "sequential fused sweep differs");
         let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
-        let mut par_out = vec![0f64; n * cols];
-        banded.par_apply_block(&x, &mut par_out, cols, &pool);
-        prop_assert_eq!(&flat_out, &par_out, "pooled banded != flat");
+        let mut par = vec![0f64; n * cols];
+        t.rwr_sweep(&x, &mut par, cols, restart, Some(&pool));
+        prop_assert_eq!(bits(&want), bits(&par), "pooled fused sweep differs");
     }
 
     /// Dijkstra distances are consistent with BFS hops under unit costs.

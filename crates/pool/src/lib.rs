@@ -17,7 +17,7 @@
 //!   from "job `k + 1`" — no hand-shaking per chunk, one wake per job.
 //! * **Caller-defined work claiming**: the job closure receives the worker
 //!   index and typically drains an atomic cursor over pre-split chunks
-//!   (work-stealing; see `Transition::par_apply_block` in `ceps-graph`).
+//!   (work-stealing; see `Transition::rwr_sweep` in `ceps-graph`).
 //! * **A sequential escape hatch**: if a dispatch arrives while another is
 //!   in flight (nested parallelism — e.g. serving workers sharing one
 //!   pool), the caller just runs the whole job inline. No deadlocks, no

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ceps_graph::{NodeId, Transition};
+use ceps_graph::{NodeId, Restart, Transition};
 use ceps_pool::PoolHandle;
 
 use crate::{scratch::ScratchPool, Result, RwrError, ScoreMatrix};
@@ -204,10 +204,17 @@ impl<'t> RwrEngine<'t> {
     /// drawn from the shared [`ScratchPool`], so each sparse entry of `M`
     /// is loaded once per iteration and reused across all active columns —
     /// instead of `Q` separate passes over the CSR arrays as in repeated
-    /// [`RwrEngine::solve_single`] calls. When the per-iteration product
-    /// (`nnz × A` fused ops) clears the pool threshold, it row-chunks
-    /// across the persistent worker pool
-    /// ([`Transition::par_apply_block`]); otherwise it runs sequentially.
+    /// [`RwrEngine::solve_single`] calls. Each iteration is one
+    /// [`Transition::rwr_sweep`]: the restart step runs inside the row
+    /// kernel, so the sweep returns the finished iterate. When the product
+    /// (`nnz × A` fused ops) clears the pool threshold, the rows are
+    /// chunked across the persistent worker pool; otherwise the sweep runs
+    /// on the calling thread.
+    ///
+    /// The L1 change between iterates is summed only when something reads
+    /// it: every iteration when a `tolerance` is set, otherwise only on the
+    /// last one (it becomes [`SolveStats::final_delta`]). The sum runs
+    /// serially in ascending node order, as in `solve_single`.
     ///
     /// Per column the arithmetic order matches `solve_single` exactly, so
     /// each returned row and its [`SolveStats`] are bitwise-identical to
@@ -232,8 +239,8 @@ impl<'t> RwrEngine<'t> {
         let n = self.transition.node_count();
         let q_count = queries.len();
         let c = self.config.c;
-        let restart = 1.0 - c;
         let nnz = self.transition.nnz();
+        let last = self.config.max_iterations.saturating_sub(1);
 
         // The row-major Q x N output; frozen columns transpose into it the
         // iteration they converge, the rest on exit.
@@ -251,8 +258,10 @@ impl<'t> RwrEngine<'t> {
             };
             q_count
         ];
-        // act[jj] = original query index of the jj-th still-active column.
+        // act[jj] = original query index of the jj-th still-active column;
+        // sources[jj] = its query node.
         let mut act: Vec<usize> = (0..q_count).collect();
+        let mut sources: Vec<NodeId> = queries.to_vec();
         let mut deltas = vec![0f64; q_count];
         let mut newly: Vec<usize> = Vec::new();
 
@@ -261,35 +270,32 @@ impl<'t> RwrEngine<'t> {
             if a == 0 {
                 break;
             }
-            match self.pool.acquire(nnz.saturating_mul(a)) {
-                Some(pool) => {
-                    self.transition
-                        .par_apply_block(&x[..n * a], &mut next[..n * a], a, pool);
-                }
-                None => self
-                    .transition
-                    .apply_block(&x[..n * a], &mut next[..n * a], a),
-            }
-            deltas[..a].fill(0.0);
-            for u in 0..n {
-                let xrow = &x[u * a..u * a + a];
-                let nrow = &mut next[u * a..u * a + a];
-                for (jj, &orig) in act.iter().enumerate() {
-                    let v = c * nrow[jj]
-                        + if queries[orig].index() == u {
-                            restart
-                        } else {
-                            0.0
-                        };
-                    deltas[jj] += (v - xrow[jj]).abs();
-                    nrow[jj] = v;
+            let restart = Restart {
+                c,
+                sources: &sources,
+            };
+            let pool = self.pool.acquire(nnz.saturating_mul(a)).map(Arc::as_ref);
+            self.transition
+                .rwr_sweep(&x[..n * a], &mut next[..n * a], a, restart, pool);
+            let measured = self.config.tolerance.is_some() || it == last;
+            if measured {
+                deltas[..a].fill(0.0);
+                for (xrow, nrow) in x[..n * a]
+                    .chunks_exact(a)
+                    .zip(next[..n * a].chunks_exact(a))
+                {
+                    for ((d, v), old) in deltas.iter_mut().zip(nrow).zip(xrow) {
+                        *d += (v - old).abs();
+                    }
                 }
             }
             std::mem::swap(&mut x, &mut next);
             newly.clear();
             for (jj, &orig) in act.iter().enumerate() {
                 stats[orig].iterations = it + 1;
-                stats[orig].final_delta = deltas[jj];
+                if measured {
+                    stats[orig].final_delta = deltas[jj];
+                }
                 if let Some(tol) = self.config.tolerance {
                     if deltas[jj] < tol {
                         newly.push(jj);
@@ -298,6 +304,7 @@ impl<'t> RwrEngine<'t> {
             }
             if !newly.is_empty() {
                 self.freeze_columns(&mut x, &mut act, &newly, &mut data, n);
+                sources = act.iter().map(|&orig| queries[orig]).collect();
             }
         }
 

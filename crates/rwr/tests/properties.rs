@@ -5,7 +5,7 @@ use ceps_rwr::{
     combine::{and, at_least_k, at_least_k_bruteforce, combine_rows, combine_scores, or},
     exact::solve_exact,
     push::forward_push,
-    RwrConfig, RwrEngine,
+    RwrConfig, RwrEngine, ScratchPool,
 };
 use proptest::prelude::*;
 
@@ -181,6 +181,55 @@ proptest! {
             for j in 0..g.node_count() {
                 prop_assert_eq!(matrix.row(i)[j], row[j], "query {} node {}", i, j);
             }
+        }
+    }
+
+    /// Without a tolerance the block solve sums the L1 delta only on its
+    /// last sweep; the stats it reports must still be `solve_single`'s,
+    /// `final_delta` bits included, for any sweep count (0 and 1 too) and
+    /// normalization, on the calling thread and through a forced-parallel
+    /// pool (`min_work` 0).
+    #[test]
+    fn unconverged_block_stats_match_single_bitwise(
+        g in arb_connected_graph(),
+        c in 0.1f64..0.9,
+        sweeps in 0usize..12,
+        // (normalization, threads) over a 3 x 2 grid.
+        grid_pick in 0usize..6,
+        picks in proptest::collection::vec(0usize..20, 1..10),
+    ) {
+        let mut queries: Vec<NodeId> = picks
+            .iter()
+            .map(|&p| NodeId((p % g.node_count()) as u32))
+            .collect();
+        queries.sort_unstable();
+        queries.dedup();
+        let norm = [
+            Normalization::ColumnStochastic,
+            Normalization::DegreePenalized { alpha: 0.5 },
+            Normalization::Symmetric,
+        ][grid_pick % 3];
+        let threads = [1usize, 3][grid_pick / 3];
+        let t = Transition::new(&g, norm);
+        let cfg = RwrConfig { c, max_iterations: sweeps, tolerance: None, threads };
+        let engine = RwrEngine::with_pool(
+            &t,
+            cfg,
+            ceps_pool::PoolHandle::with_min_work(threads, 0),
+            std::sync::Arc::new(ScratchPool::new()),
+        )
+        .unwrap();
+        let (matrix, stats) = engine.solve_block(&queries).unwrap();
+        for (i, &q) in queries.iter().enumerate() {
+            let (row, single) = engine.solve_single(q).unwrap();
+            prop_assert_eq!(stats[i].iterations, single.iterations, "query {}", i);
+            prop_assert_eq!(
+                stats[i].final_delta.to_bits(),
+                single.final_delta.to_bits(),
+                "query {}: final_delta {} vs {}", i, stats[i].final_delta, single.final_delta
+            );
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(matrix.row(i)), bits(&row), "query {}", i);
         }
     }
 

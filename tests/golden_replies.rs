@@ -7,12 +7,17 @@
 //!
 //! The sets cover the `small` preset under AND, OR and softAND(2) (random,
 //! within-community, cross-community and hub queries, plus a budget wide
-//! enough for EXTRACT's dense-DP fallback) and a few `medium` sets.
+//! enough for EXTRACT's dense-DP fallback), a few `medium` sets, and four
+//! `large` sets solved through the worker pool. The `large` check is slow
+//! in a debug build, so it is ignored there; run it with
+//! `cargo test --release --test golden_replies -- --include-ignored`.
 //!
-//! Re-record only when a reply change is intended:
-//! `CEPS_BLESS_GOLDEN=1 cargo test --test golden_replies`.
+//! Re-record only when a reply change is intended (each test rewrites its
+//! own presets' lines):
+//! `CEPS_BLESS_GOLDEN=1 cargo test --release --test golden_replies -- --include-ignored`.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use ceps_repro::prelude::*;
 
@@ -74,14 +79,16 @@ fn query_sets(data: &CoauthorGraph, sets: u64) -> Vec<Vec<NodeId>> {
 }
 
 /// Appends one golden line, `preset type budget queries digest`, per
-/// (query set, run) pair. Each set's score rows are solved once and shared
-/// by its runs — `run_with_scores` is the serving path's entry point.
+/// (query set, run) pair. Each set's score rows are solved once (on
+/// `threads` RWR workers) and shared by its runs — `run_with_scores` is
+/// the serving path's entry point.
 fn record(
     lines: &mut Vec<String>,
     preset: &str,
     data: &CoauthorGraph,
     sets: &[Vec<NodeId>],
     runs: &[(QueryType, usize)],
+    threads: usize,
 ) {
     let engines: Vec<CepsEngine> = runs
         .iter()
@@ -89,7 +96,7 @@ fn record(
             let cfg = CepsConfig::default()
                 .budget(budget)
                 .query_type(qt)
-                .threads(1);
+                .threads(threads);
             CepsEngine::new(&data.graph, cfg).unwrap()
         })
         .collect();
@@ -119,7 +126,14 @@ fn golden_lines() -> Vec<String> {
         (QueryType::SoftAnd(2), 20),
         (QueryType::Or, 80),
     ];
-    record(&mut lines, "small", &small, &query_sets(&small, 4), &runs);
+    record(
+        &mut lines,
+        "small",
+        &small,
+        &query_sets(&small, 4),
+        &runs,
+        1,
+    );
     let medium = CoauthorConfig::medium().generate();
     let runs = [(QueryType::And, 20), (QueryType::SoftAnd(2), 20)];
     record(
@@ -128,21 +142,60 @@ fn golden_lines() -> Vec<String> {
         &medium,
         &query_sets(&medium, 1)[..2],
         &runs,
+        1,
     );
     lines
 }
 
-#[test]
-fn replies_match_the_committed_digests() {
-    let got = golden_lines();
+/// The `large` preset (80K nodes): random, within-community,
+/// cross-community and hub sets under AND and softAND(2), solved on two
+/// pool workers.
+fn large_golden_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    let large = CoauthorConfig::large().generate();
+    let runs = [(QueryType::And, 20), (QueryType::SoftAnd(2), 20)];
+    record(
+        &mut lines,
+        "large",
+        &large,
+        &query_sets(&large, 1)[..4],
+        &runs,
+        2,
+    );
+    lines
+}
+
+/// Fixture presets in file order.
+const PRESETS: [&str; 3] = ["small", "medium", "large"];
+
+fn preset_of(line: &str) -> &str {
+    line.split(' ').next().unwrap_or("")
+}
+
+/// Compares `got` with the fixture lines of `presets`, or rewrites those
+/// lines under `CEPS_BLESS_GOLDEN`.
+fn check(presets: &[&str], got: Vec<String>) {
+    // Blessing is a read-modify-write of the shared fixture; the tests of
+    // this file run in parallel, so they take turns.
+    static FIXTURE: Mutex<()> = Mutex::new(());
+    let _turn = FIXTURE.lock().unwrap_or_else(PoisonError::into_inner);
     let path = fixture_path();
+    let fixture = std::fs::read_to_string(&path).unwrap_or_default();
+    let ours = |line: &&str| presets.contains(&preset_of(line));
     if std::env::var_os("CEPS_BLESS_GOLDEN").is_some() {
+        let mut lines: Vec<String> = fixture
+            .lines()
+            .filter(|l| !ours(l))
+            .map(String::from)
+            .chain(got)
+            .collect();
+        lines.sort_by_key(|l| PRESETS.iter().position(|p| *p == preset_of(l)));
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got.join("\n") + "\n").unwrap();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         return;
     }
-    let want = std::fs::read_to_string(&path).expect("golden fixture missing");
-    let want: Vec<&str> = want.lines().collect();
+    let want: Vec<&str> = fixture.lines().filter(ours).collect();
+    assert!(!want.is_empty(), "golden fixture has no {presets:?} lines");
     assert_eq!(want.len(), got.len(), "golden set size changed");
     let diverged: Vec<String> = want
         .iter()
@@ -157,4 +210,15 @@ fn replies_match_the_committed_digests() {
         got.len(),
         diverged.join("\n")
     );
+}
+
+#[test]
+fn replies_match_the_committed_digests() {
+    check(&["small", "medium"], golden_lines());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "large preset; run with --release")]
+fn large_replies_match_the_committed_digests() {
+    check(&["large"], large_golden_lines());
 }
